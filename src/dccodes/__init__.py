@@ -33,7 +33,6 @@ from .code_core import (
     brute_force_balanced_profile,
     brute_force_distance,
     dual_basis,
-    encode,
     hamming_distance,
     hamming_weight,
     is_codeword,
@@ -43,7 +42,6 @@ from .code_core import (
 )
 from .cyc_dc import (
     CyclicDCCode,
-    build_cyclic_dc,
     build_rm_dual_dc,
     cyc_dc_decode,
     cyc_dc_encode,
@@ -51,7 +49,6 @@ from .cyc_dc import (
 )
 from .cyclic import (
     CyclicCode,
-    cyclic_from_generator,
     dual_code,
     enumerate_cyclic_codes,
     factor_x_n_minus_1,
@@ -62,6 +59,7 @@ from .cyclic import (
 from .design_dc import (
     CirculantMatrix,
     DesignProfile,
+    IdentityOverCirculants,
     SidonDCCode,
     build_sidon_dc,
     dc_encode,
@@ -87,7 +85,6 @@ from .weldon import (
     lift_word,
     tcirculant_from_sidon_dc,
     transform_circulant_to_weldon,
-    validate_parameters,
     weldon_decode,
     weldon_encode,
     weldon_membership,

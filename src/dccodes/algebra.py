@@ -442,6 +442,46 @@ def find_wozencraft_k(q: int, k_min: int, search_limit: int = 10**6) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _gf2m_mul(m: int, mod_int: int, a: int, b: int) -> int:
+    """Product in GF(2^m) with the degree-m modulus given as a bitmask int.
+
+    Unchecked, so build_gf2m can search for a generator before a validated
+    BinaryExtensionField exists.
+    """
+    res = 0
+    top = 1 << m
+    while b:
+        if b & 1:
+            res ^= a
+        b >>= 1
+        a <<= 1
+        if a & top:
+            a ^= mod_int
+    return res
+
+
+def _gf2m_pow(m: int, mod_int: int, a: int, e: int) -> int:
+    res = 1
+    a %= 1 << m  # no-op guard; elements already fit
+    while e:
+        if e & 1:
+            res = _gf2m_mul(m, mod_int, res, a)
+        a = _gf2m_mul(m, mod_int, a, a)
+        e >>= 1
+    return res
+
+
+def _gf2m_order(m: int, mod_int: int, a: int) -> int:
+    if a == 0:
+        raise ValueError("zero has no multiplicative order")
+    n = (1 << m) - 1
+    order = n
+    for p in prime_factors(n):
+        while order % p == 0 and _gf2m_pow(m, mod_int, a, order // p) == 1:
+            order //= p
+    return order
+
+
 @dataclass(frozen=True)
 class BinaryExtensionField:
     """GF(2^m) with elements as bitmask ints; bit i is the coefficient of x^i.
@@ -478,36 +518,13 @@ class BinaryExtensionField:
         return a ^ b
 
     def mul(self, a: int, b: int) -> int:
-        res = 0
-        top = 1 << self.m
-        while b:
-            if b & 1:
-                res ^= a
-            b >>= 1
-            a <<= 1
-            if a & top:
-                a ^= self._mod_int
-        return res
+        return _gf2m_mul(self.m, self._mod_int, a, b)
 
     def pow(self, a: int, e: int) -> int:
-        res = 1
-        a %= 1 << self.m  # no-op guard; elements already fit
-        while e:
-            if e & 1:
-                res = self.mul(res, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return res
+        return _gf2m_pow(self.m, self._mod_int, a, e)
 
     def element_order(self, a: int) -> int:
-        if a == 0:
-            raise ValueError("zero has no multiplicative order")
-        n = (1 << self.m) - 1
-        order = n
-        for p in prime_factors(n):
-            while order % p == 0 and self.pow(a, order // p) == 1:
-                order //= p
-        return order
+        return _gf2m_order(self.m, self._mod_int, a)
 
     def coeff_vector(self, a: int) -> tuple[int, ...]:
         """The m coefficients of a over F_2, low degree first."""
@@ -547,49 +564,12 @@ def build_gf2m(m: int) -> BinaryExtensionField:
     order = (1 << m) - 1
     generator = 1
     if m > 1:
-        probe = _GF2Raw(m, sum(c << i for i, c in enumerate(modulus.coeffs)))
+        mod_int = sum(c << i for i, c in enumerate(modulus.coeffs))
         for g in range(2, 1 << m):
-            if probe.order(g) == order:
+            if _gf2m_order(m, mod_int, g) == order:
                 generator = g
                 break
     return BinaryExtensionField(m, modulus, generator)
-
-
-class _GF2Raw:
-    # Minimal unchecked GF(2^m) used only while searching for a generator,
-    # before a validated BinaryExtensionField can exist.
-    def __init__(self, m: int, mod_int: int):
-        self.m = m
-        self.mod_int = mod_int
-
-    def mul(self, a: int, b: int) -> int:
-        res = 0
-        top = 1 << self.m
-        while b:
-            if b & 1:
-                res ^= a
-            b >>= 1
-            a <<= 1
-            if a & top:
-                a ^= self.mod_int
-        return res
-
-    def pow(self, a: int, e: int) -> int:
-        res = 1
-        while e:
-            if e & 1:
-                res = self.mul(res, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return res
-
-    def order(self, a: int) -> int:
-        n = (1 << self.m) - 1
-        order = n
-        for p in prime_factors(n):
-            while order % p == 0 and self.pow(a, order // p) == 1:
-                order //= p
-        return order
 
 
 # ---------------------------------------------------------------------------

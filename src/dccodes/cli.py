@@ -9,6 +9,7 @@ line. Descriptors are JSON with sorted keys so serialization is bit-exact.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import random
 import sys
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .algebra import find_wozencraft_k
+from .algebra import QuotientFieldContext, find_wozencraft_k
 from .code_core import (
     FAIL,
     DecodeOutcome,
@@ -27,20 +28,11 @@ from .code_core import (
     brute_force_distance,
     hamming_distance,
 )
-from .cyc_dc import CyclicDCCode, build_rm_dual_dc, cyc_dc_decode, cyc_dc_encode
-from .design_dc import SidonDCCode, build_sidon_dc, dc_encode, design_decode
+from .cyc_dc import build_rm_dual_dc, cyc_dc_decode, cyc_dc_encode
+from .design_dc import build_sidon_dc, dc_encode, design_decode
 from .selftest import CRITERIA, run_all
 from .sidon import SidonSet, sidon_for_length
-from .weldon import (
-    TCirculantCode,
-    WeldonCode,
-    build_wozencraft,
-    validate_parameters,
-    weldon_decode,
-    weldon_encode,
-)
-
-FAMILIES = ("sidon-dc", "rm-dc", "wozencraft")
+from .weldon import build_wozencraft, weldon_decode, weldon_encode
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,16 +46,6 @@ class _Parser(argparse.ArgumentParser):
 def _frac(f: Fraction) -> str:
     """Exact rational encoding for descriptor fields."""
     return f"{f.numerator}/{f.denominator}"
-
-
-def _show(f: Fraction) -> str:
-    """Human-readable rational: whole numbers print without a denominator."""
-    return str(f)
-
-
-def _parse_frac(s: str) -> Fraction:
-    num, _, den = s.partition("/")
-    return Fraction(int(num), int(den or 1))
 
 
 @dataclass
@@ -103,11 +85,11 @@ def _build_sidon_dc_family(q: int, k: int, sidon: Optional[Sequence[int]]) -> Lo
         "decoding_radius": _frac(code.decode_radius),
     }
     bounds = [
-        f"distance bound {_show(code.distance_bound)} "
+        f"distance bound {code.distance_bound} "
         f"(design bound d/b + 1 with column weight d={d}, support overlap b={b})",
-        f"balanced bound {_show(code.balanced_bound)} "
+        f"balanced bound {code.balanced_bound} "
         f"(min of d/b + 1 and k/d = {k}/{d})",
-        f"decoding radius {_show(code.decode_radius)} "
+        f"decoding radius {code.decode_radius} "
         f"(majority vote exact below d/(2b) errors)",
     ]
     return LoadedCode(
@@ -144,7 +126,7 @@ def _build_rm_dc_family(m: int, r: Optional[int]) -> LoadedCode:
         f"distance bound {code.d_prime} "
         f"(min of base code distance d={code.d} and dual distance "
         f"d_perp={code.d_perp})",
-        f"decoding radius {_show(code.decode_radius)} "
+        f"decoding radius {code.decode_radius} "
         f"(two-stage decoding exact below min(d, d_perp)/2 errors)",
     ]
     return LoadedCode(
@@ -167,7 +149,7 @@ def _build_wozencraft_family(
     q: int, k: int, sidon: Optional[Sequence[int]]
 ) -> LoadedCode:
     try:
-        validate_parameters(q, k)
+        QuotientFieldContext(q, k)
     except ValueError as exc:
         try:
             nearest = find_wozencraft_k(q, max(k, 2))
@@ -176,25 +158,22 @@ def _build_wozencraft_family(
             hint = ""
         raise ValueError(f"{exc}{hint}") from exc
     w, d = build_wozencraft(q, k, sidon)
-    src = d
+    support = d.circulants[0].support
     desc = {
         "family": "wozencraft",
         "q": q,
         "k": k,
         "t": w.t,
-        "sidon": list(
-            i for i, v in enumerate(src.first_columns[0]) if v
-        ),
+        "sidon": list(support),
         "alphas": [list(a) for a in w.alphas],
-        "balanced_bound": _frac(src.balanced_d),
-        "decoding_radius": _frac(src.balanced_d / 2),
+        "balanced_bound": _frac(d.balanced_d),
+        "decoding_radius": _frac(d.balanced_d / 2),
     }
-    d_s = sum(1 for v in src.first_columns[0] if v)
     bounds = [
-        f"distance bound {_show(src.balanced_d)} "
+        f"distance bound {d.balanced_d} "
         f"(balanced parameter of the source circulant code: "
-        f"min of d/b + 1 and k/d with d={d_s})",
-        f"decoding radius {_show(src.balanced_d / 2)} "
+        f"min of d/b + 1 and k/d with d={len(support)})",
+        f"decoding radius {d.balanced_d / 2} "
         f"(fold-and-retry decoding exact below half the balanced parameter)",
     ]
     return LoadedCode(
@@ -203,24 +182,54 @@ def _build_wozencraft_family(
         q=q,
         message_length=w.dimension,
         block_length=w.n,
-        radius=src.balanced_d / 2,
+        radius=d.balanced_d / 2,
         encode=lambda m: weldon_encode(w, m),
         decode=lambda word: weldon_decode(w, d, word),
         matrix_code=lambda: w.code,
         balanced_blocks=w.t,
         bound_lines=bounds,
-        certified_distance=src.balanced_d,
+        certified_distance=d.balanced_d,
     )
 
 
-def build_family(family: str, **params) -> LoadedCode:
-    if family == "sidon-dc":
-        return _build_sidon_dc_family(params["q"], params["k"], params.get("sidon"))
-    if family == "rm-dc":
-        return _build_rm_dc_family(params["m"], params.get("r"))
-    if family == "wozencraft":
-        return _build_wozencraft_family(params["q"], params["k"], params.get("sidon"))
-    raise ValueError(f"unknown family {family!r}")
+# family name -> (builder, required parameters, optional parameters)
+_FAMILY_SPECS = {
+    "sidon-dc": (_build_sidon_dc_family, ("q", "k"), ("sidon",)),
+    "rm-dc": (_build_rm_dc_family, ("m",), ("r",)),
+    "wozencraft": (_build_wozencraft_family, ("q", "k"), ("sidon",)),
+}
+FAMILIES = tuple(_FAMILY_SPECS)
+
+
+def _is_int(value) -> bool:
+    return type(value) is int  # JSON true/false load as bools, not ints
+
+
+def build_family(family, params: dict) -> LoadedCode:
+    """Build a family from the parameters its spec names, others ignored.
+
+    Every parameter is an int except sidon, a list of ints; optional ones
+    may be None. Any other family or value type is a ValueError, so a
+    malformed descriptor is reported rather than crashing a builder.
+    """
+    if not isinstance(family, str) or family not in _FAMILY_SPECS:
+        raise ValueError(f"unknown family {family!r}")
+    builder, required, optional = _FAMILY_SPECS[family]
+    args = {name: params.get(name) for name in required + optional}
+    for name, value in args.items():
+        if value is None:
+            if name in required:
+                raise ValueError(f"{family} needs parameter {name}")
+            continue
+        if name == "sidon":
+            ok = isinstance(value, list) and all(map(_is_int, value))
+            kind = "a list of integers"
+        else:
+            ok = _is_int(value)
+            kind = "an integer"
+        if not ok:
+            raise ValueError(f"{family}: {name} must be {kind}, got {value!r}")
+    return builder(**args)
 
 
 def dump_descriptor(desc: dict) -> str:
@@ -236,15 +245,9 @@ def load_descriptor(path: str) -> LoadedCode:
     """
     with open(path, "r", encoding="ascii") as fh:
         desc = json.load(fh)
-    family = desc.get("family")
-    if family == "sidon-dc":
-        loaded = _build_sidon_dc_family(desc["q"], desc["k"], desc.get("sidon"))
-    elif family == "rm-dc":
-        loaded = _build_rm_dc_family(desc["m"], desc.get("r"))
-    elif family == "wozencraft":
-        loaded = _build_wozencraft_family(desc["q"], desc["k"], desc.get("sidon"))
-    else:
-        raise ValueError(f"unknown family {family!r}")
+    if not isinstance(desc, dict):
+        raise ValueError("descriptor must be a JSON object")
+    loaded = build_family(desc.get("family"), desc)
     if loaded.descriptor != desc:
         raise ValueError(
             "descriptor does not match what its parameters produce; "
@@ -253,34 +256,49 @@ def load_descriptor(path: str) -> LoadedCode:
     return loaded
 
 
+def _load_or_report(command: str, path: str) -> Optional[LoadedCode]:
+    """load_descriptor, with any failure printed as one line."""
+    try:
+        return load_descriptor(path)
+    except (OSError, ValueError, LookupError) as exc:
+        print(f"{command}: {exc}", file=sys.stderr)
+        return None
+
+
 # ---------------------------------------------------------------------------
 # word file I/O
 # ---------------------------------------------------------------------------
 
 
-def _read_words(stream, q: int, length: int, what: str) -> list[tuple[int, ...]]:
+def _read_words(
+    path: Optional[str], q: int, length: int, what: str
+) -> list[tuple[int, ...]]:
+    """Words from the file at path, or from stdin when path is None."""
     words = []
-    for lineno, line in enumerate(stream, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            symbols = tuple(int(tok) for tok in line.split())
-        except ValueError:
-            raise ValueError(f"line {lineno}: non-integer symbol in {what}")
-        if len(symbols) != length:
-            raise ValueError(
-                f"line {lineno}: expected {length} symbols, got {len(symbols)}"
-            )
-        if any(not 0 <= s < q for s in symbols):
-            raise ValueError(f"line {lineno}: symbols must lie in [0, {q})")
-        words.append(symbols)
+    with open(path) if path else contextlib.nullcontext(sys.stdin) as stream:
+        for lineno, line in enumerate(stream, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                symbols = tuple(int(tok) for tok in line.split())
+            except ValueError:
+                raise ValueError(f"line {lineno}: non-integer symbol in {what}")
+            if len(symbols) != length:
+                raise ValueError(
+                    f"line {lineno}: expected {length} symbols, got {len(symbols)}"
+                )
+            if any(not 0 <= s < q for s in symbols):
+                raise ValueError(f"line {lineno}: symbols must lie in [0, {q})")
+            words.append(symbols)
     return words
 
 
-def _write_words(stream, words) -> None:
-    for w in words:
-        stream.write(" ".join(str(v) for v in w) + "\n")
+def _write_words(path: Optional[str], words) -> None:
+    """Words to the file at path, or to stdout when path is None."""
+    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as stream:
+        for w in words:
+            stream.write(" ".join(str(v) for v in w) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -289,19 +307,8 @@ def _write_words(stream, words) -> None:
 
 
 def _cmd_construct(args) -> int:
-    params = {}
-    if args.family in ("sidon-dc", "wozencraft"):
-        if args.q is None or args.k is None:
-            print("construct: --q and --k are required", file=sys.stderr)
-            return 1
-        params = {"q": args.q, "k": args.k, "sidon": args.sidon}
-    else:
-        if args.m is None:
-            print("construct: --m is required for rm-dc", file=sys.stderr)
-            return 1
-        params = {"m": args.m, "r": args.r}
     try:
-        loaded = build_family(args.family, **params)
+        loaded = build_family(args.family, vars(args))
     except (ValueError, LookupError) as exc:
         print(f"construct: {exc}", file=sys.stderr)
         return 1
@@ -322,45 +329,24 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    try:
-        loaded = load_descriptor(args.descriptor)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"encode: {exc}", file=sys.stderr)
+    loaded = _load_or_report("encode", args.descriptor)
+    if loaded is None:
         return 1
     try:
-        instream = open(args.infile, "r") if args.infile else sys.stdin
-        try:
-            messages = _read_words(
-                instream, loaded.q, loaded.message_length, "message"
-            )
-        finally:
-            if args.infile:
-                instream.close()
+        messages = _read_words(args.infile, loaded.q, loaded.message_length, "message")
     except (OSError, ValueError) as exc:
         print(f"encode: {exc}", file=sys.stderr)
         return 1
-    words = [loaded.encode(m) for m in messages]
-    if args.out:
-        with open(args.out, "w") as fh:
-            _write_words(fh, words)
-    else:
-        _write_words(sys.stdout, words)
+    _write_words(args.out, [loaded.encode(m) for m in messages])
     return 0
 
 
 def _cmd_decode(args) -> int:
-    try:
-        loaded = load_descriptor(args.descriptor)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"decode: {exc}", file=sys.stderr)
+    loaded = _load_or_report("decode", args.descriptor)
+    if loaded is None:
         return 1
     try:
-        instream = open(args.infile, "r") if args.infile else sys.stdin
-        try:
-            words = _read_words(instream, loaded.q, loaded.block_length, "word")
-        finally:
-            if args.infile:
-                instream.close()
+        words = _read_words(args.infile, loaded.q, loaded.block_length, "word")
     except (OSError, ValueError) as exc:
         print(f"decode: {exc}", file=sys.stderr)
         return 1
@@ -373,19 +359,13 @@ def _cmd_decode(args) -> int:
         corrected = hamming_distance(outcome.codeword, w)
         print(f"word {idx}: corrected {corrected} errors", file=sys.stderr)
         out_lines.append(outcome.message)
-    if args.out:
-        with open(args.out, "w") as fh:
-            _write_words(fh, out_lines)
-    else:
-        _write_words(sys.stdout, out_lines)
+    _write_words(args.out, out_lines)
     return 0
 
 
 def _cmd_analyze(args) -> int:
-    try:
-        loaded = load_descriptor(args.descriptor)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"analyze: {exc}", file=sys.stderr)
+    loaded = _load_or_report("analyze", args.descriptor)
+    if loaded is None:
         return 1
     print(
         f"{loaded.family}: length {loaded.block_length}, "
@@ -404,8 +384,8 @@ def _cmd_analyze(args) -> int:
             elapsed = time.perf_counter() - start
             margin = Fraction(dist) - loaded.certified_distance
             print(
-                f"exact distance {dist} (bound {_show(loaded.certified_distance)}, "
-                f"margin {_show(margin)}) in {elapsed:.2f}s"
+                f"exact distance {dist} (bound {loaded.certified_distance}, "
+                f"margin {margin}) in {elapsed:.2f}s"
             )
     if args.balanced:
         start = time.perf_counter()
@@ -464,10 +444,8 @@ def _cmd_selftest(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    try:
-        loaded = load_descriptor(args.descriptor)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"bench: {exc}", file=sys.stderr)
+    loaded = _load_or_report("bench", args.descriptor)
+    if loaded is None:
         return 1
     rng = random.Random(args.seed)
     weight = (loaded.radius.numerator - 1) // loaded.radius.denominator

@@ -178,10 +178,6 @@ class GeneratorMatrixCode:
         return f"GeneratorMatrixCode(q={self.q}, n={self.n}, k={self.k})"
 
 
-def encode(code: GeneratorMatrixCode, message: Sequence[int]) -> Word:
-    return code.encode(message)
-
-
 def hamming_weight(w: Sequence[int]) -> int:
     return sum(1 for v in w if v)
 

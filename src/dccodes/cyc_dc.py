@@ -16,19 +16,18 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import Polynomial, PrimeField, poly_divmod
+from .algebra import Polynomial, poly_divmod
 from .code_core import (
     FAIL,
     Decoded,
     DecodeOutcome,
-    GeneratorMatrixCode,
     Word,
     balanced_weight,
     hamming_distance,
     iter_codewords,
 )
 from .cyclic import CyclicCode, dual_code
-from .design_dc import CirculantMatrix
+from .design_dc import IdentityOverCirculants
 from .reed_muller import (
     build_punctured_rm,
     punctured_rm_decode,
@@ -36,7 +35,7 @@ from .reed_muller import (
 )
 
 
-class CyclicDCCode:
+class CyclicDCCode(IdentityOverCirculants):
     """Identity-over-circulant code whose circulant column is g's coefficients.
 
     d and d_perp are certified distance parameters of the base code and its
@@ -51,19 +50,12 @@ class CyclicDCCode:
             )
         if d < 1 or d_perp < 1:
             raise ValueError("distance parameters must be positive")
+        super().__init__(base.q, base.n, [base.g.padded(base.n)])
         self.base = base
         self.d = d
         self.d_perp = d_perp
-        self.q = base.q
-        self.field = PrimeField(base.q)
-        self.k = base.n
-        self.a = base.g.padded(self.k)
-        self.circulant = CirculantMatrix(self.k, self.a)
-        self._code: GeneratorMatrixCode | None = None
-
-    @property
-    def n(self) -> int:
-        return 2 * self.k
+        self.circulant = self.circulants[0]
+        self.a = self.circulant.first_column
 
     @property
     def d_prime(self) -> int:
@@ -73,16 +65,6 @@ class CyclicDCCode:
     def decode_radius(self) -> Fraction:
         return Fraction(self.d_prime, 2)
 
-    @property
-    def code(self) -> GeneratorMatrixCode:
-        if self._code is None:
-            cols = []
-            for j in range(self.k):
-                unit = tuple(int(i == j) for i in range(self.k))
-                cols.append(unit + self.circulant.column(j))
-            self._code = GeneratorMatrixCode(self.q, cols)
-        return self._code
-
     def __repr__(self) -> str:
         return (
             f"CyclicDCCode(q={self.q}, k={self.k}, d={self.d}, "
@@ -90,15 +72,9 @@ class CyclicDCCode:
         )
 
 
-def build_cyclic_dc(base: CyclicCode, d: int, d_perp: int) -> CyclicDCCode:
-    return CyclicDCCode(base, d, d_perp)
-
-
 def cyc_dc_encode(code: CyclicDCCode, m: Sequence[int]) -> Word:
-    if len(m) != code.k:
-        raise ValueError(f"message must have length {code.k}")
-    msg = tuple(int(v) % code.q for v in m)
-    return msg + code.circulant.act(msg, code.q)
+    """Codeword (m, g*m mod x^k - 1)."""
+    return code.encode(m)
 
 
 def cyc_dc_decode(code: CyclicDCCode, w: Sequence[int]) -> DecodeOutcome:
@@ -176,4 +152,4 @@ def build_rm_dual_dc(m: int, r: int | None = None) -> CyclicDCCode:
     base = base.with_decoders(dec, dec_perp)
     d = (1 << (r + 1)) - 1
     d_perp = (1 << (m - r)) - 1
-    return build_cyclic_dc(base, d, d_perp)
+    return CyclicDCCode(base, d, d_perp)

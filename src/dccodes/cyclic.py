@@ -97,10 +97,6 @@ class CyclicCode:
         )
 
 
-def cyclic_from_generator(q: int, n: int, g: Polynomial) -> CyclicCode:
-    return CyclicCode(q, n, g)
-
-
 def dual_code(c: CyclicCode) -> CyclicCode:
     """The dual, generated by the reversal of h at degree bound k = dim(C)."""
     rev = poly_reverse(c.h, c.k)

@@ -4,6 +4,9 @@ The generator stacks the identity over a circulant whose first column is the
 indicator vector of a Sidon set. Distinct pairwise differences cap the
 support overlap of any two circulant columns at 2, and that overlap bound b
 is exactly what drives the majority decoder's radius d/(2b).
+
+This module also holds the circulant kernel and the identity-over-circulants
+core that all three families (Sidon, cyclic and Wozencraft) are built on.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -45,7 +49,7 @@ class CirculantMatrix:
         if len(self.first_column) != self.k:
             raise ValueError("first column length must equal k")
 
-    @property
+    @cached_property
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, v in enumerate(self.first_column) if v)
 
@@ -54,12 +58,25 @@ class CirculantMatrix:
         k = self.k
         return tuple(a[(i - j) % k] for i in range(k))
 
-    def act(self, vec: Sequence[int], q: int) -> tuple[int, ...]:
-        """Matrix-vector product over F_q, via multiplication mod x^k - 1."""
-        field = PrimeField(q)
-        a = Polynomial(self.first_column, field)
-        m = Polynomial(tuple(vec), field)
-        return cyclic_mul(a, m, self.k)
+    def act(self, x, q: int) -> np.ndarray:
+        """A*x over F_q for a length-k vector, or for every row of an (N, k) array.
+
+        Returns an int64 array shaped like x, reduced mod q. Entry i is the
+        sum over the support of a_s * x_(i-s mod k); each term is one slice of
+        x laid twice end to end, so working memory stays a few arrays of x's
+        size whatever the weight of the first column.
+        """
+        x = np.asarray(x, dtype=np.int64) % q
+        k = self.k
+        if x.shape[-1] != k:
+            raise ValueError(f"operand must have length {k}")
+        doubled = np.concatenate([x, x], axis=-1)
+        out = np.zeros_like(x)
+        for s in self.support:
+            a = self.first_column[s] % q
+            if a:
+                out += a * doubled[..., k - s : 2 * k - s]
+        return out % q
 
 
 @dataclass(frozen=True)
@@ -94,7 +111,55 @@ def design_profile(a: CirculantMatrix) -> DesignProfile:
     return DesignProfile(d, b)
 
 
-class SidonDCCode:
+class IdentityOverCirculants:
+    """Linear code generated by a k x k identity over t-1 k x k circulants.
+
+    Every family in the package has this shape; it fixes the codeword layout
+    (m, A_1*m, ..., A_(t-1)*m) and the generator built from it, with the
+    first columns normalised mod q.
+    """
+
+    def __init__(self, q: int, k: int, first_columns: Sequence[Sequence[int]]):
+        if not first_columns:
+            raise ValueError("need at least one circulant block (t >= 2)")
+        self.q = q
+        self.field = PrimeField(q)
+        self.k = k
+        self.first_columns = tuple(
+            tuple(int(v) % q for v in col) for col in first_columns
+        )
+        self.circulants = tuple(CirculantMatrix(k, col) for col in self.first_columns)
+        self.t = len(self.first_columns) + 1
+
+    @property
+    def n(self) -> int:
+        return self.t * self.k
+
+    def encode(self, m: Sequence[int]) -> Word:
+        """Codeword (m, A_1*m, ..., A_(t-1)*m).
+
+        A single message goes through the pure-Python product cyclic_mul,
+        the encode work the sidon-codec and rm-codec benchmark streams trace;
+        act serves the batched uses (the generator and the decoders).
+        """
+        if len(m) != self.k:
+            raise ValueError(f"message must have length {self.k}")
+        msg = tuple(int(v) % self.q for v in m)
+        poly = Polynomial(msg, self.field)
+        out = list(msg)
+        for col in self.first_columns:
+            out.extend(cyclic_mul(Polynomial(col, self.field), poly, self.k))
+        return tuple(out)
+
+    @cached_property
+    def code(self) -> GeneratorMatrixCode:
+        """Generator whose column j is the codeword of the j-th unit message."""
+        eye = np.eye(self.k, dtype=np.int64)
+        blocks = [eye] + [a.act(eye, self.q) for a in self.circulants]
+        return GeneratorMatrixCode(self.q, np.hstack(blocks).tolist())
+
+
+class SidonDCCode(IdentityOverCirculants):
     """Double-circulant code with a Sidon-set circulant block."""
 
     def __init__(self, q: int, k: int, sidon: SidonSet):
@@ -102,25 +167,18 @@ class SidonDCCode:
             raise ValueError("Sidon set must have at least 2 elements")
         if sidon.elements[-1] >= k or sidon.elements[0] < 0:
             raise ValueError(f"Sidon elements must lie in [0, {k})")
-        self.q = q
-        self.field = PrimeField(q)
-        self.k = k
+        members = set(sidon.elements)
+        super().__init__(q, k, [[int(i in members) for i in range(k)]])
         self.sidon = sidon
-        first_column = tuple(1 if i in set(sidon.elements) else 0 for i in range(k))
-        self.circulant = CirculantMatrix(k, first_column)
+        self.circulant = self.circulants[0]
         self.profile = design_profile(self.circulant)
         if self.profile.b > 2:
             raise AssertionError(
                 "a Sidon indicator circulant cannot have support overlap > 2"
             )
         # numpy internals for the decoder
-        self._supp = np.array(self.circulant.support, dtype=np.int64)
-        self._vote_idx = (self._supp[:, None] + np.arange(k)[None, :]) % k
-        self._code: GeneratorMatrixCode | None = None
-
-    @property
-    def n(self) -> int:
-        return 2 * self.k
+        supp = np.array(self.circulant.support, dtype=np.int64)
+        self._vote_idx = (supp[:, None] + np.arange(k)[None, :]) % k
 
     @property
     def decode_radius(self) -> Fraction:
@@ -136,17 +194,6 @@ class SidonDCCode:
             Fraction(self.profile.d, self.profile.b) + 1,
             Fraction(self.k, self.profile.d),
         )
-
-    @property
-    def code(self) -> GeneratorMatrixCode:
-        """Identity-over-circulant generator, built on first use."""
-        if self._code is None:
-            cols = []
-            for j in range(self.k):
-                unit = tuple(int(i == j) for i in range(self.k))
-                cols.append(unit + self.circulant.column(j))
-            self._code = GeneratorMatrixCode(self.q, cols)
-        return self._code
 
     def __repr__(self) -> str:
         return (
@@ -167,10 +214,7 @@ def build_sidon_dc(q: int, k: int, s: SidonSet | Sequence[int]) -> SidonDCCode:
 
 def dc_encode(code: SidonDCCode, m: Sequence[int]) -> Word:
     """Codeword (m, A*m) where A is the Sidon circulant."""
-    if len(m) != code.k:
-        raise ValueError(f"message must have length {code.k}")
-    msg = tuple(int(v) % code.q for v in m)
-    return msg + code.circulant.act(msg, code.q)
+    return code.encode(m)
 
 
 def majority_vote(values: Sequence[int], q: int) -> int:
@@ -207,10 +251,7 @@ def design_decode(code: SidonDCCode, w: Sequence[int]) -> DecodeOutcome:
     w_arr = np.asarray(w, dtype=np.int64) % q
     w0, w1 = w_arr[:k], w_arr[k:]
 
-    acc = np.zeros(k, dtype=np.int64)
-    for s in code.circulant.support:
-        acc += np.roll(w0, s)
-    y = (acc - w1) % q
+    y = (code.circulant.act(w0, q) - w1) % q
 
     votes = y[code._vote_idx]  # shape (d, k); column i sees y over supp+i
     if q == 2:
@@ -227,13 +268,10 @@ def design_decode(code: SidonDCCode, w: Sequence[int]) -> DecodeOutcome:
             z = counts.argmax(axis=0)
 
     c0 = (w0 - z) % q
-    acc = np.zeros(k, dtype=np.int64)
-    for s in code.circulant.support:
-        acc += np.roll(c0, s)
-    c1 = acc % q
-    c = tuple(int(v) for v in c0) + tuple(int(v) for v in c1)
-    dist = int(np.count_nonzero(np.concatenate([c0, c1]) != w_arr))
+    c_arr = np.concatenate([c0, code.circulant.act(c0, q)])
+    dist = int(np.count_nonzero(c_arr != w_arr))
     # strict rational comparison: dist < d / (2b)
     if 2 * code.profile.b * dist < d:
-        return Decoded(c, tuple(int(v) for v in c0))
+        c = tuple(c_arr.tolist())
+        return Decoded(c, c[:k])
     return FAIL

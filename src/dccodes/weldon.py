@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .algebra import Polynomial, QuotientFieldContext, quotient_mul, reduce_mod_pk
@@ -32,11 +33,16 @@ from .code_core import (
     bounded_distance_decode,
     hamming_distance,
 )
-from .design_dc import SidonDCCode, build_sidon_dc, design_decode
+from .design_dc import (
+    IdentityOverCirculants,
+    SidonDCCode,
+    build_sidon_dc,
+    design_decode,
+)
 from .sidon import SidonSet, sidon_for_length
 
 
-class TCirculantCode:
+class TCirculantCode(IdentityOverCirculants):
     """Identity block over t-1 circulant blocks, with a decoder attached.
 
     balanced_d is a certified lower bound on hamming weight of the identity
@@ -53,35 +59,9 @@ class TCirculantCode:
         balanced_d: Fraction,
         decoder: Decoder,
     ):
-        if not first_columns:
-            raise ValueError("need at least one circulant block (t >= 2)")
-        self.q = q
-        self.k = k
-        self.first_columns = tuple(
-            tuple(int(v) % q for v in col) for col in first_columns
-        )
-        if any(len(col) != k for col in self.first_columns):
-            raise ValueError("first columns must have length k")
-        self.t = len(self.first_columns) + 1
+        super().__init__(q, k, first_columns)
         self.balanced_d = Fraction(balanced_d)
         self.decoder = decoder
-        self._code: GeneratorMatrixCode | None = None
-
-    @property
-    def n(self) -> int:
-        return self.t * self.k
-
-    @property
-    def code(self) -> GeneratorMatrixCode:
-        if self._code is None:
-            cols = []
-            for j in range(self.k):
-                col = [int(i == j) for i in range(self.k)]
-                for first in self.first_columns:
-                    col.extend(first[(i - j) % self.k] for i in range(self.k))
-                cols.append(tuple(col))
-            self._code = GeneratorMatrixCode(self.q, cols)
-        return self._code
 
     def __repr__(self) -> str:
         return (
@@ -120,16 +100,6 @@ def tcirculant_from_sidon_dc(sdc: SidonDCCode) -> TCirculantCode:
     )
 
 
-def validate_parameters(q: int, k: int) -> QuotientFieldContext:
-    """Check (q, k) admits the quotient field and return its context.
-
-    Requires k prime with q a primitive root mod k; the irreducibility of
-    p_k is re-verified directly even though the primitive-root condition
-    already implies it.
-    """
-    return QuotientFieldContext(q, k)
-
-
 class WeldonCode:
     """The code { (m, alpha_1*m, ..., alpha_{t-1}*m) : m in H } over F_q.
 
@@ -150,7 +120,6 @@ class WeldonCode:
         self.alphas = tuple(tuple(int(v) % ctx.q for v in a) for a in alphas)
         if any(len(a) != ctx.k - 1 for a in self.alphas):
             raise ValueError(f"multipliers must have length {ctx.k - 1}")
-        self._code: GeneratorMatrixCode | None = None
 
     @property
     def q(self) -> int:
@@ -168,15 +137,13 @@ class WeldonCode:
     def dimension(self) -> int:
         return self.ctx.k - 1
 
-    @property
+    @cached_property
     def code(self) -> GeneratorMatrixCode:
-        if self._code is None:
-            units = []
-            for j in range(self.dimension):
-                unit = tuple(int(i == j) for i in range(self.dimension))
-                units.append(weldon_encode(self, unit))
-            self._code = GeneratorMatrixCode(self.q, units)
-        return self._code
+        units = []
+        for j in range(self.dimension):
+            unit = tuple(int(i == j) for i in range(self.dimension))
+            units.append(weldon_encode(self, unit))
+        return GeneratorMatrixCode(self.q, units)
 
     def __repr__(self) -> str:
         return f"WeldonCode(q={self.q}, k={self.k}, t={self.t})"
@@ -189,7 +156,7 @@ def transform_circulant_to_weldon(d: TCirculantCode) -> WeldonCode:
     p_k); the resulting block is degenerate but the code stays well formed,
     its weight carried by block 0 alone.
     """
-    ctx = validate_parameters(d.q, d.k)
+    ctx = QuotientFieldContext(d.q, d.k)
     alphas = tuple(
         reduce_mod_pk(Polynomial(col, ctx.field), ctx) for col in d.first_columns
     )

@@ -362,11 +362,29 @@ def test_find_wozencraft_k_examples():
         find_wozencraft_k(2, 8, search_limit=10)
 
 
+# m -> (modulus with bit i the coefficient of x^i, generator). The generator
+# is not always x: punctured_ordering walks its powers, so both are pinned.
+GF2M_PINNED = {
+    1: (0b11, 1),
+    2: (0b111, 2),
+    3: (0b1011, 2),
+    4: (0b10011, 2),
+    5: (0b100101, 2),
+    6: (0b1000011, 2),
+    7: (0b10000011, 2),
+    8: (0b100011011, 3),
+    9: (0b1000000011, 7),
+    10: (0b10000001001, 2),
+    11: (0b100000000101, 2),
+    12: (0b1000000001001, 3),
+}
+
+
 def test_build_gf2m_moduli():
-    assert build_gf2m(1).modulus.coeffs == (1, 1)
-    assert build_gf2m(2).modulus.coeffs == (1, 1, 1)
-    assert build_gf2m(3).modulus.coeffs == (1, 1, 0, 1)
-    assert build_gf2m(4).modulus.coeffs == (1, 1, 0, 0, 1)
+    for m, (modulus, generator) in GF2M_PINNED.items():
+        gf = build_gf2m(m)
+        assert sum(c << i for i, c in enumerate(gf.modulus.coeffs)) == modulus
+        assert gf.generator == generator
     with pytest.raises(ValueError):
         build_gf2m(0)
     with pytest.raises(ValueError):

@@ -145,6 +145,33 @@ def test_tampered_descriptor_rejected(tmp_path, k18_descriptor):
     assert "refusing" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ([1, 2], "descriptor must be a JSON object"),
+        (
+            {"family": "sidon-dc", "q": "2", "k": 18, "sidon": [0, 7, 13]},
+            "q must be an integer",
+        ),
+        ({"family": "sidon-dc", "k": 18}, "needs parameter q"),
+        ({"family": "rm-dc", "m": True}, "m must be an integer"),
+        (
+            {"family": "wozencraft", "q": 2, "k": 19, "sidon": "1,8,14"},
+            "sidon must be a list of integers",
+        ),
+        ({"family": ["sidon-dc"]}, "unknown family"),
+    ],
+    ids=["list", "string-q", "missing-q", "bool-m", "string-sidon", "list-family"],
+)
+def test_malformed_descriptor_exits_one(tmp_path, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    res = _run(["encode", str(path)], stdin="")
+    assert res.returncode == 1
+    assert len(res.stderr.splitlines()) == 1
+    assert res.stderr.startswith("encode: ") and message in res.stderr
+
+
 def test_params_find_k():
     res = _run(["params", "find-k", "--q", "2", "--min", "6"])
     assert res.returncode == 0

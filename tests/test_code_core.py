@@ -14,7 +14,6 @@ from dccodes.code_core import (
     brute_force_balanced_profile,
     brute_force_distance,
     dual_basis,
-    encode,
     hamming_distance,
     hamming_weight,
     is_codeword,
@@ -56,12 +55,12 @@ def test_zero_dimensional_code_needs_explicit_length():
 
 
 def test_encode_examples():
-    assert encode(PARITY3, (0, 0)) == (0, 0, 0)
-    assert encode(PARITY3, (1, 0)) == (1, 0, 1)
+    assert PARITY3.encode((0, 0)) == (0, 0, 0)
+    assert PARITY3.encode((1, 0)) == (1, 0, 1)
     # systematic codes echo the message in the first k symbols
-    assert encode(PARITY3, (1, 1))[:2] == (1, 1)
+    assert PARITY3.encode((1, 1))[:2] == (1, 1)
     with pytest.raises(ValueError):
-        encode(PARITY3, (1, 0, 0))
+        PARITY3.encode((1, 0, 0))
 
 
 def test_unencode_round_trip():

@@ -15,13 +15,12 @@ from dccodes.code_core import (
 )
 from dccodes.cyc_dc import (
     CyclicDCCode,
-    build_cyclic_dc,
     build_rm_dual_dc,
     cyc_dc_decode,
     cyc_dc_encode,
     d_balanced_check,
 )
-from dccodes.cyclic import cyclic_from_generator, dual_code
+from dccodes.cyclic import CyclicCode, dual_code
 
 F2 = PrimeField(2)
 
@@ -30,7 +29,7 @@ RM_DC = build_rm_dual_dc(4)
 
 def _toy_base():
     """Repetition-code base with brute-force decoders on both sides."""
-    rep = cyclic_from_generator(2, 3, Polynomial((1, 1, 1), F2))
+    rep = CyclicCode(2, 3, Polynomial((1, 1, 1), F2))
     par = dual_code(rep)
 
     def dec(w, radius):
@@ -55,17 +54,17 @@ def test_build_rm_dual_dc_parameters():
 
 
 def test_build_cyclic_dc_toy_base():
-    code = build_cyclic_dc(_toy_base(), 3, 2)
+    code = CyclicDCCode(_toy_base(), 3, 2)
     assert code.k == 3 and code.n == 6
     assert code.a == (1, 1, 1)
     assert code.circulant.column(0) == (1, 1, 1)
     assert code.d_prime == 2
 
-    undecorated = cyclic_from_generator(2, 3, Polynomial((1, 1, 1), F2))
+    undecorated = CyclicCode(2, 3, Polynomial((1, 1, 1), F2))
     with pytest.raises(ValueError):
-        build_cyclic_dc(undecorated, 3, 2)
+        CyclicDCCode(undecorated, 3, 2)
     with pytest.raises(ValueError):
-        build_cyclic_dc(_toy_base(), 0, 2)
+        CyclicDCCode(_toy_base(), 0, 2)
 
 
 def test_cyc_dc_encode_examples():
@@ -83,7 +82,7 @@ def test_cyc_dc_encode_examples():
 
 
 def test_decode_round_trip_toy():
-    code = build_cyclic_dc(_toy_base(), 3, 2)
+    code = CyclicDCCode(_toy_base(), 3, 2)
     for idx in range(8):
         m = tuple((idx >> i) & 1 for i in range(3))
         out = cyc_dc_decode(code, cyc_dc_encode(code, m))
@@ -152,11 +151,11 @@ def _message_case_split(base, d_perp, messages):
 
 
 def test_case_split_exhaustive_small():
-    parity = cyclic_from_generator(2, 3, Polynomial((1, 1), F2))
+    parity = CyclicCode(2, 3, Polynomial((1, 1), F2))
     _message_case_split(
         parity, 3, [tuple((i >> j) & 1 for j in range(3)) for i in range(8)]
     )
-    hamming = cyclic_from_generator(2, 7, Polynomial((1, 1, 0, 1), F2))
+    hamming = CyclicCode(2, 7, Polynomial((1, 1, 0, 1), F2))
     _message_case_split(
         hamming, 4, [tuple((i >> j) & 1 for j in range(7)) for i in range(128)]
     )
@@ -174,10 +173,10 @@ def test_case_split_sampled_n15():
 
 
 def test_d_balanced_check():
-    rep = cyclic_from_generator(2, 3, Polynomial((1, 1, 1), F2))
+    rep = CyclicCode(2, 3, Polynomial((1, 1, 1), F2))
     assert not d_balanced_check(rep, 1)  # (1,1,1) has balanced weight 0
 
-    zero = cyclic_from_generator(2, 3, Polynomial((-1, 0, 0, 1), F2))
+    zero = CyclicCode(2, 3, Polynomial((-1, 0, 0, 1), F2))
     assert zero.k == 0
     assert d_balanced_check(zero, 100)  # vacuous: no nonzero codewords
 

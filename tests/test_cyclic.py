@@ -6,7 +6,6 @@ from dccodes.algebra import Polynomial, PrimeField, poly_irreducible, poly_mul, 
 from dccodes.code_core import dual_basis, is_codeword, iter_codewords
 from dccodes.cyclic import (
     CyclicCode,
-    cyclic_from_generator,
     dual_code,
     enumerate_cyclic_codes,
     factor_x_n_minus_1,
@@ -24,15 +23,15 @@ def _codeword_set(c: CyclicCode) -> set[tuple[int, ...]]:
 
 
 def test_length_three_examples():
-    parity = cyclic_from_generator(2, 3, Polynomial((1, 1), F2))
+    parity = CyclicCode(2, 3, Polynomial((1, 1), F2))
     assert parity.k == 2
     assert _codeword_set(parity) == {(0, 0, 0), (1, 1, 0), (0, 1, 1), (1, 0, 1)}
 
-    rep = cyclic_from_generator(2, 3, Polynomial((1, 1, 1), F2))
+    rep = CyclicCode(2, 3, Polynomial((1, 1, 1), F2))
     assert rep.k == 1
     assert _codeword_set(rep) == {(0, 0, 0), (1, 1, 1)}
 
-    full = cyclic_from_generator(2, 3, Polynomial.one(F2))
+    full = CyclicCode(2, 3, Polynomial.one(F2))
     assert full.k == 3
     assert len(_codeword_set(full)) == 8
 
@@ -58,11 +57,11 @@ def test_h_complements_g_everywhere():
 
 
 def test_dual_examples():
-    parity = cyclic_from_generator(2, 3, Polynomial((1, 1), F2))
-    rep = cyclic_from_generator(2, 3, Polynomial((1, 1, 1), F2))
+    parity = CyclicCode(2, 3, Polynomial((1, 1), F2))
+    rep = CyclicCode(2, 3, Polynomial((1, 1, 1), F2))
     assert dual_code(parity) == rep
     assert dual_code(rep) == parity
-    full = cyclic_from_generator(2, 3, Polynomial.one(F2))
+    full = CyclicCode(2, 3, Polynomial.one(F2))
     zero = dual_code(full)
     assert zero.k == 0
     assert dual_code(zero) == full
@@ -83,10 +82,10 @@ def test_dual_matches_generic_dual_basis():
 
 
 def test_reverse_code_examples():
-    rep = cyclic_from_generator(2, 3, Polynomial((1, 1, 1), F2))
+    rep = CyclicCode(2, 3, Polynomial((1, 1, 1), F2))
     assert reverse_code(rep) == rep
 
-    hamming = cyclic_from_generator(2, 7, Polynomial((1, 1, 0, 1), F2))
+    hamming = CyclicCode(2, 7, Polynomial((1, 1, 0, 1), F2))
     rev = reverse_code(hamming)
     assert rev.g == Polynomial((1, 0, 1, 1), F2)
     assert _codeword_set(rev) == {tuple(reversed(w)) for w in _codeword_set(hamming)}
@@ -166,7 +165,7 @@ def test_reversal_respects_products():
 
 
 def test_with_decoders_preserves_identity():
-    parity = cyclic_from_generator(2, 3, Polynomial((1, 1), F2))
+    parity = CyclicCode(2, 3, Polynomial((1, 1), F2))
     tagged = parity.with_decoders(lambda w, r: None, None)
     assert tagged == parity  # decoders do not participate in equality
     assert tagged.decoder is not None and parity.decoder is None

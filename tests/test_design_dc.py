@@ -1,8 +1,11 @@
+import hashlib
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from dccodes.algebra import Polynomial, PrimeField, cyclic_mul
 from dccodes.code_core import (
     FAIL,
     Decoded,
@@ -10,6 +13,7 @@ from dccodes.code_core import (
     brute_force_distance,
     hamming_distance,
 )
+from dccodes.cyc_dc import build_rm_dual_dc
 from dccodes.design_dc import (
     CirculantMatrix,
     DesignProfile,
@@ -21,6 +25,7 @@ from dccodes.design_dc import (
     majority_vote,
 )
 from dccodes.sidon import SidonSet, sidon_erdos_turan, sidon_for_length
+from dccodes.weldon import build_wozencraft
 
 K18 = build_sidon_dc(2, 18, (0, 7, 13))
 
@@ -38,6 +43,61 @@ def test_circulant_columns_shift():
     assert c.column(1) == (0, 1, 2, 0)
     assert c.column(3) == (2, 0, 0, 1)
     assert c.support == (0, 1)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("k", [1, 2, 7, 18, 242])
+@pytest.mark.parametrize("density", ["sparse", "dense"])
+def test_circulant_act_matches_cyclic_mul(q, k, density):
+    rng = random.Random(f"{q}-{k}-{density}")
+    if density == "sparse":
+        first = [0] * k
+        for i in rng.sample(range(k), min(k, 3)):
+            first[i] = rng.randrange(1, q)
+    else:
+        first = [rng.randrange(q) for _ in range(k)]
+    a = CirculantMatrix(k, tuple(first))
+    field = PrimeField(q)
+    batch = [[rng.randrange(-q, 2 * q) for _ in range(k)] for _ in range(6)]
+    expected = [
+        cyclic_mul(Polynomial(tuple(first), field), Polynomial(tuple(row), field), k)
+        for row in batch
+    ]
+    for row, exp in zip(batch, expected):
+        out = a.act(row, q)
+        assert out.dtype == np.int64 and out.shape == (k,)
+        assert tuple(out.tolist()) == exp
+    out = a.act(np.array(batch), q)
+    assert out.dtype == np.int64 and out.shape == (len(batch), k)
+    assert [tuple(r) for r in out.tolist()] == expected
+
+
+# sha256 of the generator columns, one line of digits per column, as the
+# per-family builders produced them before the families shared one builder
+PINNED_COLUMNS = [
+    (lambda: build_sidon_dc(2, 18, (0, 7, 13)),
+     "9ae15f45cbcf970b2a9ab4aa19cdc78a36a63d742ca046ac8e1430c549c0c91b"),
+    (lambda: build_sidon_dc(3, 11, (0, 1, 3)),
+     "fee7eef8290ae71ec1847f83f2026e5c2967c95b80d7427a9ef7dbd26156a5a0"),
+    (lambda: build_rm_dual_dc(4),
+     "ccbaf197af557a6736c9a203fd0667b765ee00de501f34c25bcccfd4a03eb51f"),
+    (lambda: build_wozencraft(2, 19, (1, 8, 14))[1],
+     "9024287930de9ab8d4ec7fc8d70356a2d0173cdaa598a1893b9b9427443fc222"),
+]
+
+
+@pytest.mark.parametrize(
+    "build,digest", PINNED_COLUMNS, ids=["sidon-2-18", "sidon-3-11", "rm-4", "woz-2-19"]
+)
+def test_generator_columns_pinned(build, digest):
+    code = build()
+    cols = code.code.columns
+    text = "\n".join("".join(map(str, col)) for col in cols)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    for j, col in enumerate(cols):
+        unit = tuple(int(i == j) for i in range(code.k))
+        assert col == unit + sum((a.column(j) for a in code.circulants), ())
+        assert code.code.encode(unit) == code.encode(unit) == col
 
 
 def test_build_sidon_dc_examples():
@@ -166,7 +226,15 @@ def _reference_decode(code, w, tie_high):
     supp = code.circulant.support
     d, b = code.profile.d, code.profile.b
     w0, w1 = list(w[:k]), list(w[k:])
-    aw0 = code.circulant.act(w0, q)
+
+    def act(vec):
+        return cyclic_mul(
+            Polynomial(code.circulant.first_column, code.field),
+            Polynomial(tuple(vec), code.field),
+            k,
+        )
+
+    aw0 = act(w0)
     y = [(aw0[j] - w1[j]) % q for j in range(k)]
     c0 = []
     for i in range(k):
@@ -178,7 +246,7 @@ def _reference_decode(code, w, tie_high):
         else:
             z_i = counts.index(best)
         c0.append((w0[i] - z_i) % q)
-    c = tuple(c0) + code.circulant.act(c0, q)
+    c = tuple(c0) + act(c0)
     if 2 * b * hamming_distance(c, w) < d:
         return c
     return None

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from dccodes.algebra import QuotientFieldContext
 from dccodes.code_core import (
     FAIL,
     Decoded,
@@ -21,7 +22,6 @@ from dccodes.weldon import (
     lift_word,
     tcirculant_from_sidon_dc,
     transform_circulant_to_weldon,
-    validate_parameters,
     weldon_decode,
     weldon_encode,
     weldon_membership,
@@ -34,13 +34,13 @@ W1_WORDS = {(0, 0, 0, 0), (1, 0, 1, 1), (0, 1, 1, 0), (1, 1, 0, 1)}
 
 
 def test_validate_parameters():
-    assert validate_parameters(2, 3).k == 3
-    assert validate_parameters(2, 19).q == 2
-    assert validate_parameters(3, 5).k == 5
+    assert QuotientFieldContext(2, 3).k == 3
+    assert QuotientFieldContext(2, 19).q == 2
+    assert QuotientFieldContext(3, 5).k == 5
     with pytest.raises(ValueError):
-        validate_parameters(2, 7)  # 2 has order 3 mod 7
+        QuotientFieldContext(2, 7)  # 2 has order 3 mod 7
     with pytest.raises(ValueError):
-        validate_parameters(2, 9)  # not prime
+        QuotientFieldContext(2, 9)  # not prime
 
 
 def test_transform_examples():
