@@ -444,6 +444,9 @@ def _cmd_selftest(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if args.trials < 1:
+        print("bench: --trials must be at least 1", file=sys.stderr)
+        return 1
     loaded = _load_or_report("bench", args.descriptor)
     if loaded is None:
         return 1

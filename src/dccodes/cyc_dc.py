@@ -139,12 +139,11 @@ def build_rm_dual_dc(m: int, r: int | None = None) -> CyclicDCCode:
     if not 1 <= r < m - 1:
         raise ValueError("need 1 <= r <= m-2 so both sides decode")
     prm = build_punctured_rm(r, m)
+    dual_prm = build_punctured_rm(m - r - 1, m)
     base = dual_code(prm.cyclic)
 
-    r_dual = m - r - 1
-
     def dec(word: Sequence[int], radius: Fraction) -> DecodeOutcome:
-        return shortened_dual_rm_decode(r_dual, m, word, radius)
+        return shortened_dual_rm_decode(dual_prm, word, radius)
 
     def dec_perp(word: Sequence[int], radius: Fraction) -> DecodeOutcome:
         return punctured_rm_decode(prm, word, radius)

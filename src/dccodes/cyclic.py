@@ -22,7 +22,6 @@ from .algebra import (
     Polynomial,
     PrimeField,
     poly_divmod,
-    poly_gcd,
     poly_mul,
     poly_reverse,
 )
@@ -115,29 +114,27 @@ def generator_from_spanning_set(
     """The cyclic code whose codeword set is the span of the given words.
 
     The span must already be closed under cyclic shift; if any shifted basis
-    vector falls outside the span this raises ValueError. The generator is
-    gcd(x^n - 1, gcd of the word polynomials), and the dimension is checked
-    against the span's rank so a non-ideal span can never slip through.
+    vector falls outside the span this raises ValueError. One row reduction,
+    with the columns in descending degree, gives a basis whose last row is
+    the span's monic element of least degree, which for a cyclic span is its
+    generator; a second one checks that adding the shifted basis keeps the
+    rank.
     """
-    field = PrimeField(q)
     mat = np.array([[int(v) % q for v in w] for w in words], dtype=np.int64)
     if mat.ndim != 2 or mat.shape[1] != n:
         raise ValueError(f"words must all have length {n}")
-    rref, piv, _ = _rref(mat, q)
-    rank = len(piv)
-    basis = rref[:rank]
-    for row in basis:
-        shifted = np.roll(row, 1)
-        stacked = np.vstack([basis, shifted])
-        _, piv2, _ = _rref(stacked, q)
-        if len(piv2) != rank:
-            raise ValueError("span is not closed under cyclic shift")
-    g = _x_n_minus_1(field, n)
-    for w in words:
-        g = poly_gcd(g, Polynomial(tuple(int(v) for v in w), field))
-    code = CyclicCode(q, n, g.monic())
-    if code.k != rank:
-        # cannot happen once shift-closure holds; guards the gcd reduction
+    rref, piv, _ = _rref(mat[:, ::-1], q)
+    basis = rref[: len(piv)]
+    _, piv2, _ = _rref(np.vstack([basis, np.roll(basis, 1, axis=1)]), q)
+    if len(piv2) != len(piv):
+        raise ValueError("span is not closed under cyclic shift")
+    field = PrimeField(q)
+    if piv:
+        code = CyclicCode(q, n, Polynomial(tuple(basis[-1, ::-1].tolist()), field))
+    else:
+        code = CyclicCode(q, n, _x_n_minus_1(field, n))
+    if code.k != len(piv):
+        # cannot happen once shift-closure holds; guards the generator read
         raise AssertionError("span rank disagrees with generator degree")
     return code
 

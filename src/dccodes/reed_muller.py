@@ -4,7 +4,8 @@ RM(r, m) consists of the evaluation vectors of multilinear polynomials of
 degree at most r in m variables over F_2. Point i of the evaluation domain
 is the assignment with variable x_j set to bit j of i, and a monomial is
 held as the bitmask of its variable set, so "monomial T evaluates to 1 at
-point i" is just T & i == T.
+point i" is just T & i == T; RMCode.evaluations tabulates that rule once
+and every encoder and decoder here reads the table.
 
 Removing the zero point and ordering the remaining points along powers of a
 multiplicative generator of GF(2^m) turns RM(r, m) into a cyclic code. That
@@ -15,10 +16,13 @@ construction downstream consumes.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterator, Sequence
+from functools import cached_property, lru_cache
+from math import comb
+from typing import Sequence
 
-from .algebra import BinaryExtensionField, build_gf2m
+import numpy as np
+
+from .algebra import build_gf2m
 from .code_core import (
     FAIL,
     Decoded,
@@ -28,15 +32,6 @@ from .code_core import (
     hamming_distance,
 )
 from .cyclic import CyclicCode, generator_from_spanning_set
-
-
-def _submasks(mask: int) -> Iterator[int]:
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
 
 
 class RMCode:
@@ -58,19 +53,30 @@ class RMCode:
             )
         )
         self.k = len(self.monomials)
-        self.points = tuple(range(self.n))
-        self._gen: GeneratorMatrixCode | None = None
 
-    def monomial_column(self, t: int) -> tuple[int, ...]:
-        return tuple(1 if (t & i) == t else 0 for i in range(self.n))
+    @cached_property
+    def evaluations(self) -> np.ndarray:
+        """k x n 0/1 table whose row j is monomial j's evaluation vector.
 
-    @property
+        The only place the rule "T is 1 at point i iff T & i == T" is applied.
+        """
+        t = np.array(self.monomials)[:, None]
+        return ((t & np.arange(self.n)) == t).astype(np.uint8)
+
+    @cached_property
+    def cosets(self) -> np.ndarray:
+        """k x n point indices: row j lists the 2^(m-l) cosets of degree-l
+        monomial j's variable subcube, 2^l consecutive points each.
+
+        A coset is the points that agree outside the monomial's variables,
+        so sorting the points by those bits groups each coset together.
+        """
+        outside = (self.n - 1) ^ np.array(self.monomials)[:, None]
+        return np.argsort(np.arange(self.n) & outside, axis=1)
+
+    @cached_property
     def generator_code(self) -> GeneratorMatrixCode:
-        if self._gen is None:
-            self._gen = GeneratorMatrixCode(
-                2, [self.monomial_column(t) for t in self.monomials]
-            )
-        return self._gen
+        return GeneratorMatrixCode(2, self.evaluations)
 
     def __repr__(self) -> str:
         return f"RMCode(r={self.r}, m={self.m})"
@@ -86,13 +92,7 @@ def rm_encode(code: RMCode, coeffs: Sequence[int]) -> Word:
     coefficients, in the code's monomial order."""
     if len(coeffs) != code.k:
         raise ValueError(f"need {code.k} coefficients")
-    out = [0] * code.n
-    for t, c in zip(code.monomials, coeffs):
-        if c & 1:
-            for i in range(code.n):
-                if (t & i) == t:
-                    out[i] ^= 1
-    return tuple(out)
+    return tuple(((np.asarray(coeffs) & 1) @ code.evaluations % 2).tolist())
 
 
 def reed_decode(code: RMCode, w: Sequence[int]) -> DecodeOutcome:
@@ -107,35 +107,21 @@ def reed_decode(code: RMCode, w: Sequence[int]) -> DecodeOutcome:
     """
     if len(w) != code.n:
         raise ValueError(f"word must have length {code.n}")
-    working = [v & 1 for v in w]
-    full = code.n - 1
-    msg: dict[int, int] = {}
+    received = np.asarray(w, dtype=np.int64) & 1
+    working = received.copy()
+    msg = np.zeros(code.k, dtype=np.int64)
+    stop = code.k
     for ell in range(code.r, -1, -1):
-        layer = [t for t in code.monomials if t.bit_count() == ell]
-        decided: list[tuple[int, int]] = []
-        for t in layer:
-            comp = full ^ t
-            ones = 0
-            total = 0
-            for u in _submasks(comp):
-                s = 0
-                for v in _submasks(t):
-                    s ^= working[u | v]
-                ones += s
-                total += 1
-            decided.append((t, 1 if 2 * ones > total else 0))
-        for t, bit in decided:
-            msg[t] = bit
-            if bit:
-                for i in range(code.n):
-                    if (t & i) == t:
-                        working[i] ^= 1
+        start = stop - comb(code.m, ell)
+        cosets = code.cosets[start:stop].reshape(stop - start, -1, 1 << ell)
+        votes = working[cosets].sum(axis=2) & 1
+        msg[start:stop] = 2 * votes.sum(axis=1) > votes.shape[1]
+        working ^= msg[start:stop] @ code.evaluations[start:stop] & 1
+        stop = start
     # accept only strictly within half distance: residual < 2^(m-r)/2
-    if 2 * sum(working) >= 1 << (code.m - code.r):
+    if 2 * working.sum() >= 1 << (code.m - code.r):
         return FAIL
-    codeword = tuple((v ^ res) for v, res in zip([v & 1 for v in w], working))
-    message = tuple(msg[t] for t in code.monomials)
-    return Decoded(codeword, message)
+    return Decoded(tuple((received ^ working).tolist()), tuple(msg.tolist()))
 
 
 @lru_cache(maxsize=None)
@@ -161,24 +147,14 @@ def punctured_ordering(m: int) -> tuple[int, ...]:
 class PuncturedRMCode:
     """RM(r, m) with the zero point removed, in generator-power point order."""
 
-    def __init__(
-        self,
-        r: int,
-        m: int,
-        field: BinaryExtensionField,
-        ordering: tuple[int, ...],
-        full: RMCode,
-        code: GeneratorMatrixCode,
-        cyclic: CyclicCode,
-    ):
-        self.r = r
-        self.m = m
-        self.field = field
-        self.ordering = ordering
+    def __init__(self, full: RMCode, code: GeneratorMatrixCode, cyclic: CyclicCode):
+        self.r = full.r
+        self.m = full.m
+        self.n = full.n - 1
+        self.ordering = punctured_ordering(full.m)
         self.full = full
         self.code = code
         self.cyclic = cyclic
-        self.n = (1 << m) - 1
 
     def puncture(self, full_word: Sequence[int]) -> Word:
         return tuple(full_word[p] for p in self.ordering)
@@ -199,24 +175,30 @@ def build_punctured_rm(r: int, m: int) -> PuncturedRMCode:
         raise ValueError("need 1 <= r < m")
     if m > 12:
         raise ValueError("m must be at most 12")
-    field = build_gf2m(m)
-    ordering = punctured_ordering(m)
     full = rm_code(r, m)
-    pcols = [
-        tuple(col[p] for p in ordering)
-        for col in (full.monomial_column(t) for t in full.monomials)
-    ]
-    code = GeneratorMatrixCode(2, pcols)
+    pcols = full.evaluations[:, punctured_ordering(m)]
     cyc = generator_from_spanning_set(2, (1 << m) - 1, pcols)
-    return PuncturedRMCode(r, m, field, ordering, full, code, cyc)
+    return PuncturedRMCode(full, GeneratorMatrixCode(2, pcols), cyc)
 
 
-def _lift(pcode: PuncturedRMCode, w: Sequence[int], zero_value: int) -> list[int]:
-    full_w = [0] * (1 << pcode.m)
-    full_w[0] = zero_value
+def _decode_lift(
+    pcode: PuncturedRMCode, w: Sequence[int], zero_value: int, radius: Fraction | int
+) -> DecodeOutcome:
+    """Lift w to full length with zero_value at the zero point, decode it
+    with reed_decode, and puncture the answer; it counts only strictly
+    within radius of w."""
+    if len(w) != pcode.n:
+        raise ValueError(f"word must have length {pcode.n}")
+    full_w = [zero_value] * pcode.full.n
     for idx, p in enumerate(pcode.ordering):
         full_w[p] = w[idx] & 1
-    return full_w
+    out = reed_decode(pcode.full, full_w)
+    if out is FAIL:
+        return FAIL
+    pcw = pcode.puncture(out.codeword)
+    if hamming_distance(pcw, w) < radius:
+        return Decoded(pcw, out.message)
+    return FAIL
 
 
 def punctured_rm_decode(
@@ -228,41 +210,25 @@ def punctured_rm_decode(
     punctured codeword lies strictly within radius of w are collected, and
     the answer must be unique to count.
     """
-    if len(w) != pcode.n:
-        raise ValueError(f"word must have length {pcode.n}")
-    hits: dict[Word, Word] = {}
+    hits: dict[Word, Decoded] = {}
     for zero_value in (0, 1):
-        out = reed_decode(pcode.full, _lift(pcode, w, zero_value))
-        if out is FAIL:
-            continue
-        pcw = pcode.puncture(out.codeword)
-        if hamming_distance(pcw, w) < radius:
-            hits[pcw] = out.message
-    if len(hits) == 1:
-        ((pcw, message),) = hits.items()
-        return Decoded(pcw, message)
-    return FAIL
+        out = _decode_lift(pcode, w, zero_value, radius)
+        if out is not FAIL:
+            hits[out.codeword] = out
+    return next(iter(hits.values())) if len(hits) == 1 else FAIL
 
 
 def shortened_dual_rm_decode(
-    r_prime: int, m: int, w: Sequence[int], radius: Fraction | int
+    pcode: PuncturedRMCode, w: Sequence[int], radius: Fraction | int
 ) -> DecodeOutcome:
     """Decode the punctured RM(r', m) codewords that vanish at the zero point.
 
     The missing coordinate is known to be 0, so there is a single lift; the
-    decoded polynomial must actually vanish at zero (equivalently, have zero
-    constant coefficient), and the punctured result must lie strictly within
-    radius.
+    decoded polynomial must actually vanish at zero, i.e. have zero constant
+    coefficient (message[0], the coefficient of the empty monomial), and the
+    punctured result must lie strictly within radius.
     """
-    pcode = build_punctured_rm(r_prime, m)
-    if len(w) != pcode.n:
-        raise ValueError(f"word must have length {pcode.n}")
-    out = reed_decode(pcode.full, _lift(pcode, w, 0))
-    if out is FAIL:
+    out = _decode_lift(pcode, w, 0, radius)
+    if out is FAIL or out.message[0] != 0:
         return FAIL
-    if out.codeword[0] != 0:
-        return FAIL
-    pcw = pcode.puncture(out.codeword)
-    if hamming_distance(pcw, w) < radius:
-        return Decoded(pcw, out.message)
-    return FAIL
+    return out

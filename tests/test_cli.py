@@ -226,3 +226,11 @@ def test_bench(k18_descriptor):
     res = _run(["bench", str(k18_descriptor), "--trials", "5", "--seed", "3"])
     assert res.returncode == 0, res.stderr
     assert "decode" in res.stdout
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_bench_rejects_trials_below_one(k18_descriptor, trials):
+    res = _run(["bench", str(k18_descriptor), "--trials", trials])
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr == "bench: --trials must be at least 1\n"

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -108,6 +109,35 @@ def test_generator_from_spanning_set():
         generator_from_spanning_set(2, 3, [(1, 1, 0)])  # not shift-closed
     with pytest.raises(ValueError):
         generator_from_spanning_set(2, 3, [(1, 1, 0, 0)])  # wrong length
+    with pytest.raises(ValueError):
+        # least-degree element 1 + x divides x^3 - 1 and has the span's
+        # dimension; only the shift-closure check rejects it
+        generator_from_spanning_set(2, 3, [(1, 1, 0), (0, 0, 1)])
+
+    zero = generator_from_spanning_set(2, 3, [(0, 0, 0), (0, 0, 0)])
+    assert zero.k == 0
+    assert zero.g == Polynomial((1, 0, 0, 1), F2)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_generator_from_spanning_set_recovers_every_cyclic_code(q):
+    # redundant, shuffled spanning sets: the basis, random combinations of
+    # it and zero words
+    rng = random.Random(457 + q)
+    for n in range(1, 13):
+        for code in enumerate_cyclic_codes(q, n):
+            basis = code.generator_code.columns
+            words = list(basis) + [(0,) * n]
+            for _ in range(3):
+                coeffs = [rng.randrange(q) for _ in basis]
+                words.append(
+                    tuple(
+                        sum(c * col[i] for c, col in zip(coeffs, basis)) % q
+                        for i in range(n)
+                    )
+                )
+            rng.shuffle(words)
+            assert generator_from_spanning_set(q, n, words) == code
 
 
 def test_factor_x_n_minus_1_examples():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -109,6 +110,51 @@ def test_reed_decode_corrects_weight_three_rm25():
         assert isinstance(out, Decoded) and out.codeword == cw
 
 
+# sha256 of reed_decode's outcomes on 100 seeded words, taken before the
+# decoder moved onto the evaluation table; word i carries i * 1.5d / 100
+# errors, so the weights run from 0 to three times the radius
+PINNED_OUTCOMES = {
+    (4, 8): "8c000803efd1a211d7ef367ee4300dabcaf021c9a645ddc064eec1c2ee48cbde",
+    (3, 8): "26041f6bb33f46550d0103694740e1f04baa5c5b385c2afc4ca55010b59f205b",
+}
+
+
+@pytest.mark.parametrize("r,m", sorted(PINNED_OUTCOMES))
+def test_reed_decode_outcomes_pinned(r, m):
+    code = rm_code(r, m)
+    rng = random.Random(f"rm{r}{m}")
+    top = 3 << (m - r - 1)
+    h = hashlib.sha256()
+    for i in range(100):
+        msg = [rng.randrange(2) for _ in range(code.k)]
+        w = list(rm_encode(code, msg))
+        for pos in rng.sample(range(code.n), i * top // 100):
+            w[pos] ^= 1
+        out = reed_decode(code, w)
+        h.update(b"F" if out is FAIL else bytes(out.codeword + out.message))
+    assert h.hexdigest() == PINNED_OUTCOMES[(r, m)]
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_reed_decode_matches_nearest_codeword_rm5(r):
+    # inside the radius the answer is the nearest codeword; beyond it, FAIL
+    # or a codeword strictly within the radius
+    code = rm_code(r, 5)
+    d = 1 << (5 - r)
+    rng = random.Random(449 + r)
+    for _ in range(40):
+        w = list(rm_encode(code, [rng.randrange(2) for _ in range(code.k)]))
+        for pos in rng.sample(range(32), rng.randrange(d + 1)):
+            w[pos] ^= 1
+        cw, dist = nearest_codeword(code.generator_code, w)
+        out = reed_decode(code, w)
+        if 2 * dist < d:
+            assert isinstance(out, Decoded) and out.codeword == cw
+            assert rm_encode(code, out.message) == cw
+        elif out is not FAIL:
+            assert 2 * sum(a != b for a, b in zip(out.codeword, w)) < d
+
+
 def test_reed_decode_rejects_wrong_length():
     with pytest.raises(ValueError):
         reed_decode(rm_code(1, 3), (0,) * 7)
@@ -175,7 +221,7 @@ def test_shortened_dual_rm_decode():
     x1 = rm_encode(full, (0, 1, 0, 0, 0))
     assert x1[0] == 0
     cw = pcode.puncture(x1)
-    out = shortened_dual_rm_decode(1, 4, cw, Fraction(7, 2))
+    out = shortened_dual_rm_decode(pcode, cw, Fraction(7, 2))
     assert isinstance(out, Decoded) and out.codeword == cw
 
     rng = random.Random(443)
@@ -185,9 +231,9 @@ def test_shortened_dual_rm_decode():
         w = list(word)
         for pos in rng.sample(range(15), 2):
             w[pos] ^= 1
-        out = shortened_dual_rm_decode(1, 4, tuple(w), Fraction(7, 2))
+        out = shortened_dual_rm_decode(pcode, tuple(w), Fraction(7, 2))
         assert isinstance(out, Decoded) and out.codeword == word
 
     # constant coefficient 1 never vanishes at zero: must be rejected
     bad = pcode.puncture(rm_encode(full, (1, 1, 0, 0, 0)))
-    assert shortened_dual_rm_decode(1, 4, bad, Fraction(7, 2)) is FAIL
+    assert shortened_dual_rm_decode(pcode, bad, Fraction(7, 2)) is FAIL
