@@ -1,9 +1,10 @@
 """Linear codes over prime fields: encoding, weights, and exact oracles.
 
 Words are plain tuples of ints. The exhaustive scans (distance, balanced
-profile, nearest codeword) are budget-guarded: anything that would enumerate
-more than ORACLE_BUDGET codewords raises OracleBudgetExceeded instead of
-silently running forever. Binary codes get a packed-int Gray-code lane;
+profile, nearest codeword, bounded-distance error patterns) are
+budget-guarded: anything that would enumerate more than ORACLE_BUDGET
+codewords or patterns raises OracleBudgetExceeded instead of silently
+running forever. Binary codes get a packed-int Gray-code lane;
 other fields use an incremental odometer over numpy states.
 """
 
@@ -23,6 +24,9 @@ from .algebra import PrimeField
 Word = tuple[int, ...]
 
 DEFAULT_ORACLE_BUDGET = 1 << 24
+
+# Error patterns per batch in bounded_distance_decode.
+PATTERN_CHUNK = 1024
 
 
 class OracleBudgetExceeded(RuntimeError):
@@ -401,8 +405,10 @@ def bounded_distance_decode(
 
     Patterns are scanned in increasing weight, so the first hit is a nearest
     in-radius codeword; when 2*radius <= distance it is the unique one.
-    Work grows as (n choose wt)*(q-1)^wt per weight level; intended for
-    small radii, not as a general decoder.
+    An exact oracle, not a decoder: the sum over weights wt < radius of
+    (n choose wt)*(q-1)^wt patterns is budget-guarded, and each weight level
+    is streamed in chunks of PATTERN_CHUNK patterns, whose syndromes are
+    the syndrome of w minus the matching columns of the parity check.
     """
     r = Fraction(radius)
     max_wt = (r.numerator - 1) // r.denominator
@@ -411,26 +417,28 @@ def bounded_distance_decode(
     if len(w) != code.n:
         raise ValueError(f"word must have length {code.n}")
     q = code.q
+    _require_budget(
+        sum(math.comb(code.n, wt) * (q - 1) ** wt for wt in range(max_wt + 1)),
+        "bounded-distance pattern scan",
+    )
     h = _dual_matrix(code)
     w_arr = np.asarray(w, dtype=np.int64) % q
-    for wt in range(0, max_wt + 1):
-        rows = []
-        cands = []
-        for positions in itertools.combinations(range(code.n), wt):
-            for deltas in itertools.product(range(1, q), repeat=wt):
+    syn_w = h @ w_arr % q
+    for wt in range(max_wt + 1):
+        patterns = itertools.product(
+            itertools.combinations(range(code.n), wt),
+            itertools.product(range(1, q), repeat=wt),
+        )
+        while chunk := list(itertools.islice(patterns, PATTERN_CHUNK)):
+            shape = (len(chunk), wt)
+            pos = np.array([p for p, _ in chunk], dtype=np.intp).reshape(shape)
+            delta = np.array([e for _, e in chunk], dtype=np.int64).reshape(shape)
+            # syndrome of w - e: H w minus delta-weighted columns of H
+            syn = (syn_w - np.einsum("pw,pwr->pr", delta, h.T[pos])) % q
+            hits = np.flatnonzero(~syn.any(axis=1))
+            if hits.size:
                 c = w_arr.copy()
-                for pos, delta in zip(positions, deltas):
-                    c[pos] = (c[pos] - delta) % q
-                rows.append(c)
-        if not rows:
-            continue
-        cands = np.stack(rows)
-        if h.shape[0]:
-            syn = cands @ h.T % q
-            hits = np.nonzero(~syn.any(axis=1))[0]
-        else:
-            hits = np.arange(len(rows))
-        if hits.size:
-            c = tuple(int(v) for v in cands[hits[0]])
-            return Decoded(c, code.unencode(c))
+                c[pos[hits[0]]] = (c[pos[hits[0]]] - delta[hits[0]]) % q
+                c = tuple(int(v) for v in c)
+                return Decoded(c, code.unencode(c))
     return FAIL

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+import dccodes.code_core as code_core
 from dccodes.code_core import (
     FAIL,
     Decoded,
@@ -21,6 +22,7 @@ from dccodes.code_core import (
     nearest_codeword,
     split_balanced_weight,
 )
+from dccodes.design_dc import build_sidon_dc
 from fractions import Fraction
 
 REP3 = GeneratorMatrixCode(2, [(1, 1, 1)])
@@ -258,6 +260,34 @@ def test_bounded_distance_decode_messages():
         m = tuple(rng.randrange(2) for _ in range(2))
         out = bounded_distance_decode(code, code.encode(m), Fraction(1, 2))
         assert isinstance(out, Decoded) and out.message == m
+
+
+def test_bounded_distance_decode_budget_guard(monkeypatch):
+    # radius 4 at n=36 scans 1 + 36 + C(36,2) + C(36,3) = 7807 patterns
+    code = build_sidon_dc(2, 18, (0, 7, 13)).code
+    monkeypatch.setenv("ORACLE_BUDGET", "10")
+    with pytest.raises(OracleBudgetExceeded):
+        bounded_distance_decode(code, (0,) * 36, 4)
+    monkeypatch.setenv("ORACLE_BUDGET", "7806")
+    with pytest.raises(OracleBudgetExceeded):
+        bounded_distance_decode(code, (0,) * 36, 4)
+    monkeypatch.setenv("ORACLE_BUDGET", "7807")
+    assert bounded_distance_decode(code, (0,) * 36, 4).codeword == (0,) * 36
+
+
+def test_bounded_distance_decode_chunking_keeps_scan_order(monkeypatch):
+    # the first hit in scan order must not depend on where chunks split a level
+    rng = random.Random(43)
+    cases = []
+    for q, n, k, radius in ((2, 9, 3, 4), (3, 7, 2, 3), (5, 5, 2, Fraction(5, 2))):
+        code = _random_code(rng, q, n, k)
+        for _ in range(20):
+            w = tuple(rng.randrange(q) for _ in range(n))
+            cases.append((code, w, radius, bounded_distance_decode(code, w, radius)))
+    for chunk in (1, 7):
+        monkeypatch.setattr(code_core, "PATTERN_CHUNK", chunk)
+        for code, w, radius, expected in cases:
+            assert bounded_distance_decode(code, w, radius) == expected
 
 
 def test_fail_is_falsy_singleton():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -9,17 +10,21 @@ from dccodes.code_core import (
     FAIL,
     Decoded,
     balanced_weight,
+    bounded_distance_decode,
     brute_force_distance,
     hamming_distance,
     hamming_weight,
     iter_codewords,
+    nearest_codeword,
 )
 from dccodes.design_dc import build_sidon_dc, dc_encode
+from dccodes.sidon import sidon_for_length
 from dccodes.weldon import (
     TCirculantCode,
     build_wozencraft,
     fold_word,
     lift_word,
+    flip_one_decode,
     tcirculant_from_sidon_dc,
     transform_circulant_to_weldon,
     weldon_decode,
@@ -221,3 +226,101 @@ def test_build_wozencraft_validation():
     w, d = build_wozencraft(2, 11)
     assert w.k == 11 and d.t == 2
     assert w.alphas == transform_circulant_to_weldon(d).alphas
+
+
+# (q, k, Sidon set or None for the default); in the gap instances the
+# majority decoder corrects one error fewer than half the balanced parameter
+GAP_INSTANCES = (
+    (2, 11, None),
+    (2, 13, None),
+    (2, 19, (1, 8, 14)),
+    (3, 5, (0, 1)),
+    (5, 7, (0, 1)),
+)
+NON_GAP_INSTANCES = ((2, 29, None), (3, 7, (0, 1, 3)))
+
+
+def _capability(radius):
+    return math.ceil(radius) - 1
+
+
+def _exact_within(code, w, radius):
+    """The codeword strictly within radius of w, or None, by exhaustive search.
+
+    nearest_codeword scans every codeword; past 2^20 of them (k=29) the
+    error-pattern oracle, which scans every pattern of weight below radius,
+    stands in.
+    """
+    if code.q**code.k <= 1 << 20:
+        cw, dist = nearest_codeword(code, w)
+        return cw if dist < radius else None
+    out = bounded_distance_decode(code, w, radius)
+    return None if out is FAIL else out.codeword
+
+
+def _noisy(rng, q, cw, errors):
+    w = list(cw)
+    for pos in rng.sample(range(len(cw)), errors):
+        w[pos] = (w[pos] + rng.randrange(1, q)) % q
+    return tuple(w)
+
+
+@pytest.mark.parametrize("q,k,sidon", GAP_INSTANCES + NON_GAP_INSTANCES)
+def test_decoders_match_exact_oracle(q, k, sidon):
+    w, d = build_wozencraft(q, k, sidon)
+    sdc = build_sidon_dc(q, k, [i for i, v in enumerate(d.first_columns[0]) if v])
+    radius = d.balanced_d / 2
+    cap = _capability(radius)
+    gap = (q, k, sidon) in GAP_INSTANCES
+    assert (_capability(sdc.decode_radius) < cap) == gap
+    rng = random.Random(q * 1000 + k)
+    for errors in range(cap + 3):
+        for _ in range(3):
+            m = tuple(rng.randrange(q) for _ in range(w.dimension))
+            word = _noisy(rng, q, weldon_encode(w, m), errors)
+            expected = _exact_within(w.code, word, radius)
+            out = weldon_decode(w, d, word)
+            if expected is None:
+                assert out is FAIL
+            else:
+                assert isinstance(out, Decoded) and out.codeword == expected
+                assert out.message == w.code.unencode(expected)
+
+            m = tuple(rng.randrange(q) for _ in range(k))
+            word = _noisy(rng, q, d.code.encode(m), errors)
+            expected = _exact_within(d.code, word, radius)
+            out = d.decoder(word)
+            if expected is None:
+                assert out is FAIL
+            else:
+                assert isinstance(out, Decoded) and out.codeword == expected
+                assert out.message == d.code.unencode(expected)
+
+
+def test_flip_one_decode_accepts_only_within_radius():
+    sdc = build_sidon_dc(2, 29, sidon_for_length(29))
+    rng = random.Random(683)
+    for _ in range(10):
+        cw = sdc.code.encode(tuple(rng.randrange(2) for _ in range(29)))
+        word = _noisy(rng, 2, cw, 1)
+        assert flip_one_decode(sdc, word, Fraction(2)).codeword == cw
+        assert flip_one_decode(sdc, word, Fraction(1)) is FAIL
+
+
+def test_wozencraft_decodes_at_capability_without_exhaustive_search(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("exhaustive search called")
+
+    monkeypatch.setattr("dccodes.weldon.bounded_distance_decode", forbidden)
+    monkeypatch.setattr("dccodes.code_core.bounded_distance_decode", forbidden)
+    rng = random.Random(677)
+    # k=107 with 3 errors was a 2.8 GB weight level for the exhaustive search
+    for k, errors in ((59, 2), (101, 2), (107, 3)):
+        w, d = build_wozencraft(2, k)
+        assert errors == _capability(d.balanced_d / 2)
+        for _ in range(3):
+            m = tuple(rng.randrange(2) for _ in range(w.dimension))
+            cw = weldon_encode(w, m)
+            out = weldon_decode(w, d, _noisy(rng, 2, cw, errors))
+            assert isinstance(out, Decoded)
+            assert out.codeword == cw and out.message == m
