@@ -6,13 +6,11 @@ undoing the fold.
 
 from .algebra import (
     BinaryExtensionField,
-    FieldElement,
     Polynomial,
     PrimeField,
     QuotientFieldContext,
     build_gf2m,
     cyclic_mul,
-    field_arithmetic,
     find_wozencraft_k,
     is_primitive_root,
     poly_divmod,
@@ -54,7 +52,6 @@ from .cyclic import (
     factor_x_n_minus_1,
     generator_from_spanning_set,
     max_irreducible_factor_degree,
-    reverse_code,
 )
 from .design_dc import (
     CirculantMatrix,
@@ -62,10 +59,10 @@ from .design_dc import (
     IdentityOverCirculants,
     SidonDCCode,
     build_sidon_dc,
+    column_majority,
     dc_encode,
     design_decode,
     design_profile,
-    majority_vote,
 )
 from .reed_muller import (
     RMCode,

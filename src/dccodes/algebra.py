@@ -5,6 +5,10 @@ elements, dense univariate polynomials in low-degree-first order, binary
 extension fields GF(2^m) on bitmask ints, and the quotient ring
 F_q[x] / (1 + x + ... + x^(k-1)), which is a field exactly when k is prime
 and q is a primitive root mod k.
+
+The quotient-ring section validates (q, k) and keeps reference arithmetic
+(reduce_mod_pk, quotient_mul) for the tests; the Wozencraft codes compute
+their products as folds of circulant products, in weldon.
 """
 
 from __future__ import annotations
@@ -58,91 +62,10 @@ class PrimeField:
         if not is_prime(self.q):
             raise ValueError(f"field size must be prime, got {self.q}")
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.q
-
-    def neg(self, a: int) -> int:
-        return -a % self.q
-
     def inv(self, a: int) -> int:
         if a % self.q == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.q - 2, self.q)
-
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(value % self.q, self)
-
-    def elements(self) -> range:
-        return range(self.q)
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A value paired with its field, for call sites that want operator syntax.
-
-    Most internal code passes bare ints plus a PrimeField; this wrapper exists
-    for the public arithmetic entry point and for small scripts.
-    """
-
-    value: int
-    field: PrimeField
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.value < self.field.q:
-            raise ValueError(f"value {self.value} out of range for F_{self.field.q}")
-
-    def _check(self, other: "FieldElement") -> None:
-        if self.field != other.field:
-            raise ValueError("elements from different fields")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field.add(self.value, other.value), self.field)
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field.sub(self.value, other.value), self.field)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field.mul(self.value, other.value), self.field)
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field.neg(self.value), self.field)
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field.inv(self.value), self.field)
-
-    def __int__(self) -> int:
-        return self.value
-
-
-def field_arithmetic(a: FieldElement, b: FieldElement | None, op: str) -> FieldElement:
-    """Dispatch one field operation by name.
-
-    op is one of "add", "sub", "mul", "inv", "neg". The unary ops ("inv",
-    "neg") ignore b, which may be None. Division by zero raises
-    ZeroDivisionError; mismatched fields raise ValueError.
-    """
-    if op == "inv":
-        return a.inverse()
-    if op == "neg":
-        return -a
-    if b is None:
-        raise ValueError(f"binary op {op!r} needs two operands")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
 
 
 @dataclass(frozen=True)
@@ -370,26 +293,6 @@ def poly_irreducible(f: Polynomial) -> bool:
     return True
 
 
-def _irreducible_by_trial_division(f: Polynomial) -> bool:
-    # Literal scan over all monic divisor candidates up to half degree.
-    # Exponential in the degree; kept as a cross-check oracle for tests.
-    deg = f.degree
-    if deg < 1:
-        raise ValueError("irreducibility is only defined for degree >= 1")
-    q = f.field.q
-    for d in range(1, deg // 2 + 1):
-        for idx in range(q**d):
-            coeffs = []
-            v = idx
-            for _ in range(d):
-                coeffs.append(v % q)
-                v //= q
-            cand = Polynomial(tuple(coeffs) + (1,), f.field)
-            if (f % cand).is_zero():
-                return False
-    return True
-
-
 def multiplicative_order(a: int, n: int) -> int:
     """Order of a in the multiplicative group mod n; requires gcd(a, n) = 1."""
     if n < 2:
@@ -581,9 +484,10 @@ def build_gf2m(m: int) -> BinaryExtensionField:
 class QuotientFieldContext:
     """The field H = F_q[x] / p_k(x) with p_k = 1 + x + ... + x^(k-1).
 
-    Requires k prime and q a primitive root mod k; p_k is additionally
-    verified irreducible at construction. Elements are coefficient tuples of
-    length k-1.
+    Requires k prime and q a primitive root mod k. That makes p_k
+    irreducible: it is the k-th cyclotomic polynomial, and each of its
+    factors over F_q has degree ord_k(q) = k-1 (Lidl-Niederreiter, Thm
+    2.47). Elements are coefficient tuples of length k-1.
     """
 
     q: int
@@ -598,10 +502,6 @@ class QuotientFieldContext:
             raise ValueError(f"q={self.q} and k={self.k} must be coprime")
         if not is_primitive_root(self.q, self.k):
             raise ValueError(f"{self.q} is not a primitive root mod {self.k}")
-        if not poly_irreducible(self.p_k()):
-            # Unreachable when the primitive-root check passes; kept as a
-            # hard guarantee because everything downstream assumes a field.
-            raise ValueError(f"p_{self.k} is not irreducible over F_{self.q}")
 
     def p_k(self) -> Polynomial:
         return Polynomial((1,) * self.k, self.field)

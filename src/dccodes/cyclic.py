@@ -102,12 +102,6 @@ def dual_code(c: CyclicCode) -> CyclicCode:
     return CyclicCode(c.q, c.n, rev.monic())
 
 
-def reverse_code(c: CyclicCode) -> CyclicCode:
-    """The code of reversed codewords, generated by g reversed at deg(g)."""
-    rev = poly_reverse(c.g, int(c.g.degree))
-    return CyclicCode(c.q, c.n, rev.monic())
-
-
 def generator_from_spanning_set(
     q: int, n: int, words: Sequence[Sequence[int]]
 ) -> CyclicCode:

@@ -217,21 +217,25 @@ def dc_encode(code: SidonDCCode, m: Sequence[int]) -> Word:
     return code.encode(m)
 
 
-def majority_vote(values: Sequence[int], q: int) -> int:
-    """Most frequent value among values, all in [0, q).
+def column_majority(votes, q: int) -> np.ndarray:
+    """Most frequent value in each column of votes, entries in [0, q).
 
-    Ties resolve to the smallest field element (largest under the self-test
-    mutation hook). The decoder's correctness proof guarantees a strict
-    majority inside the decoding radius, so the tie rule only matters beyond
-    it, where the final distance check catches wrong guesses anyway.
+    A 1-D votes is one column. Ties resolve to the smallest field element
+    (largest under the self-test mutation hook). The decoder's correctness
+    proof guarantees a strict majority inside the decoding radius, so the
+    tie rule only matters beyond it, where the final distance check catches
+    wrong guesses anyway.
     """
-    counts = [0] * q
-    for v in values:
-        counts[v] += 1
-    best = max(counts)
+    votes = np.asarray(votes, dtype=np.int64)
+    if q == 2:
+        twice_ones = 2 * votes.sum(axis=0)
+        d = votes.shape[0]
+        won = twice_ones >= d if _tie_high() else twice_ones > d
+        return won.astype(np.int64)
+    counts = np.stack([(votes == alpha).sum(axis=0) for alpha in range(q)])
     if _tie_high():
-        return q - 1 - counts[::-1].index(best)
-    return counts.index(best)
+        return q - 1 - counts[::-1].argmax(axis=0)
+    return counts.argmax(axis=0)
 
 
 def design_decode(code: SidonDCCode, w: Sequence[int]) -> DecodeOutcome:
@@ -254,18 +258,7 @@ def design_decode(code: SidonDCCode, w: Sequence[int]) -> DecodeOutcome:
     y = (code.circulant.act(w0, q) - w1) % q
 
     votes = y[code._vote_idx]  # shape (d, k); column i sees y over supp+i
-    if q == 2:
-        ones = votes.sum(axis=0)
-        if _tie_high():
-            z = (2 * ones >= d).astype(np.int64)
-        else:
-            z = (2 * ones > d).astype(np.int64)
-    else:
-        counts = np.stack([(votes == alpha).sum(axis=0) for alpha in range(q)])
-        if _tie_high():
-            z = q - 1 - counts[::-1].argmax(axis=0)
-        else:
-            z = counts.argmax(axis=0)
+    z = column_majority(votes, q)
 
     c0 = (w0 - z) % q
     c_arr = np.concatenate([c0, code.circulant.act(c0, q)])

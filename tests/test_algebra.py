@@ -6,14 +6,11 @@ import pytest
 from dccodes.algebra import (
     NEG_INF,
     BinaryExtensionField,
-    FieldElement,
     Polynomial,
     PrimeField,
     QuotientFieldContext,
-    _irreducible_by_trial_division,
     build_gf2m,
     cyclic_mul,
-    field_arithmetic,
     find_wozencraft_k,
     is_primitive_root,
     multiplicative_order,
@@ -25,6 +22,7 @@ from dccodes.algebra import (
     quotient_mul,
     reduce_mod_pk,
 )
+from dccodes.weldon import build_wozencraft
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -40,29 +38,6 @@ def test_prime_field_rejects_composites():
         PrimeField(4)
     with pytest.raises(ValueError):
         PrimeField(1)
-
-
-def test_field_arithmetic_examples():
-    assert field_arithmetic(FieldElement(3, F5), FieldElement(4, F5), "mul").value == 2
-    assert field_arithmetic(FieldElement(2, F5), None, "inv").value == 3
-    assert field_arithmetic(FieldElement(1, F2), FieldElement(1, F2), "add").value == 0
-
-
-def test_field_arithmetic_errors():
-    with pytest.raises(ZeroDivisionError):
-        field_arithmetic(FieldElement(0, F5), None, "inv")
-    with pytest.raises(ValueError):
-        field_arithmetic(FieldElement(1, F2), FieldElement(1, F3), "add")
-
-
-def test_field_element_operators():
-    a = FieldElement(2, F5)
-    b = FieldElement(4, F5)
-    assert (a + b).value == 1
-    assert (a - b).value == 3
-    assert (a * b).value == 3
-    assert (-b).value == 1
-    assert b.inverse().value == 4
 
 
 def test_polynomial_canonical_form():
@@ -245,6 +220,18 @@ def test_reduce_mod_pk_matches_divmod_random():
             assert reduce_mod_pk(f, ctx) == rem.padded(k - 1)
 
 
+def test_quotient_context_needs_no_irreducibility_test(monkeypatch):
+    # q primitive mod prime k already makes p_k irreducible, so building H
+    # runs no polynomial irreducibility test, even at k=317
+    def forbidden(*args, **kwargs):
+        raise AssertionError("poly_irreducible called")
+
+    monkeypatch.setattr("dccodes.algebra.poly_irreducible", forbidden)
+    assert QuotientFieldContext(2, 317).k == 317
+    w, _ = build_wozencraft(2, 59)
+    assert w.ctx.k == 59
+
+
 def test_quotient_context_rejects_bad_parameters():
     with pytest.raises(ValueError):
         QuotientFieldContext(2, 7)  # 2 has order 3 mod 7
@@ -327,6 +314,17 @@ def test_poly_irreducible_examples():
     assert poly_irreducible(P([1, 1, 1, 1, 1], F2))
     with pytest.raises(ValueError):
         poly_irreducible(P([1], F2))
+
+
+def _irreducible_by_trial_division(f):
+    # literal scan over all monic divisor candidates up to half degree
+    q = f.field.q
+    for d in range(1, int(f.degree) // 2 + 1):
+        for idx in range(q**d):
+            coeffs = [(idx // q**i) % q for i in range(d)] + [1]
+            if (f % P(coeffs, f.field)).is_zero():
+                return False
+    return True
 
 
 def test_poly_irreducible_matches_trial_division():

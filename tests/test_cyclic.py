@@ -12,7 +12,6 @@ from dccodes.cyclic import (
     factor_x_n_minus_1,
     generator_from_spanning_set,
     max_irreducible_factor_degree,
-    reverse_code,
 )
 
 F2 = PrimeField(2)
@@ -80,17 +79,6 @@ def test_dual_matches_generic_dual_basis():
                 for j in range(dual.k):
                     unit = tuple(int(i == j) for i in range(dual.k))
                     assert is_codeword(generic, dual.generator_code.encode(unit))
-
-
-def test_reverse_code_examples():
-    rep = CyclicCode(2, 3, Polynomial((1, 1, 1), F2))
-    assert reverse_code(rep) == rep
-
-    hamming = CyclicCode(2, 7, Polynomial((1, 1, 0, 1), F2))
-    rev = reverse_code(hamming)
-    assert rev.g == Polynomial((1, 0, 1, 1), F2)
-    assert _codeword_set(rev) == {tuple(reversed(w)) for w in _codeword_set(hamming)}
-    assert reverse_code(rev) == hamming
 
 
 def test_generator_from_spanning_set():

@@ -19,10 +19,10 @@ from dccodes.design_dc import (
     DesignProfile,
     SidonDCCode,
     build_sidon_dc,
+    column_majority,
     dc_encode,
     design_decode,
     design_profile,
-    majority_vote,
 )
 from dccodes.sidon import SidonSet, sidon_erdos_turan, sidon_for_length
 from dccodes.weldon import build_wozencraft
@@ -143,17 +143,24 @@ def test_design_bound_all_fixtures_to_500():
 
 
 def test_majority_vote_examples_and_ties():
-    assert majority_vote([1, 1, 0], 2) == 1
-    assert majority_vote([0, 0, 1, 1], 2) == 0  # tie resolves low
-    assert majority_vote([2, 2, 1], 3) == 2
-    assert majority_vote([1, 1, 0, 0, 2, 2], 3) == 0
+    assert column_majority([1, 1, 0], 2) == 1
+    assert column_majority([0, 0, 1, 1], 2) == 0  # tie resolves low
+    assert column_majority([2, 2, 1], 3) == 2
+    assert column_majority([1, 1, 0, 0, 2, 2], 3) == 0
+    # one vote set per column, as design_decode passes them
+    votes = np.array([[1, 0, 2, 1], [1, 0, 2, 0], [0, 1, 1, 2], [0, 1, 0, 2]])
+    assert column_majority(votes[:, :2], 2).tolist() == [0, 0]
+    assert column_majority(votes, 3).tolist() == [0, 0, 2, 2]
 
 
 def test_majority_vote_tie_hook(monkeypatch):
     monkeypatch.setenv("DCCODES_MAJORITY_TIE_HIGH", "1")
-    assert majority_vote([0, 0, 1, 1], 2) == 1
-    assert majority_vote([1, 1, 0, 0, 2, 2], 3) == 2
-    assert majority_vote([2, 2, 1], 3) == 2  # no tie, hook irrelevant
+    assert column_majority([0, 0, 1, 1], 2) == 1
+    assert column_majority([1, 1, 0, 0, 2, 2], 3) == 2
+    assert column_majority([2, 2, 1], 3) == 2  # no tie, hook irrelevant
+    votes = np.array([[1, 0, 2, 1], [1, 0, 2, 0], [0, 1, 1, 2], [0, 1, 0, 2]])
+    assert column_majority(votes[:, :2], 2).tolist() == [1, 1]
+    assert column_majority(votes, 3).tolist() == [1, 1, 2, 2]
 
 
 def test_decode_clean_codewords():

@@ -1,11 +1,13 @@
+import hashlib
 import itertools
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from dccodes.algebra import QuotientFieldContext
+from dccodes.algebra import QuotientFieldContext, quotient_mul
 from dccodes.code_core import (
     FAIL,
     Decoded,
@@ -96,6 +98,21 @@ def test_lift_and_fold():
             assert lift_word(fold_word(c, q), c[-1], q) == c
 
 
+def test_lift_and_fold_act_on_every_row():
+    rng = np.random.default_rng(642)
+    for q in (2, 3, 5):
+        rows = rng.integers(0, q, size=(6, 9))
+        betas = rng.integers(0, q, size=(6, 1))
+        lifted = lift_word(rows, betas, q)
+        assert isinstance(lifted, np.ndarray) and lifted.shape == (6, 10)
+        for row, beta, got in zip(rows, betas[:, 0], lifted):
+            assert tuple(got.tolist()) == lift_word(tuple(row.tolist()), int(beta), q)
+        folded = fold_word(lifted, q)
+        assert isinstance(folded, np.ndarray)
+        assert np.array_equal(folded, rows)
+        assert np.array_equal(lift_word(rows, 0, q)[:, :-1], rows)
+
+
 def test_fold_never_decreases_balanced_weight():
     # hamming weight of the fold is at least the balanced weight of the block
     for q in (2, 3):
@@ -107,6 +124,55 @@ def test_fold_never_decreases_balanced_weight():
         q = rng.choice((2, 3, 5))
         c = tuple(rng.randrange(q) for _ in range(rng.randrange(1, 40)))
         assert hamming_weight(fold_word(c, q)) >= balanced_weight(c)
+
+
+def test_encode_matches_quotient_ring_product():
+    # the fold of A_i*(m, 0) is the product alpha_i*m in H, computed here by
+    # the reference arithmetic in algebra
+    rng = random.Random(644)
+    for q, k, sidon in ((2, 19, (1, 8, 14)), (2, 59, None), (3, 7, (0, 1, 3))):
+        w, _ = build_wozencraft(q, k, sidon)
+        for _ in range(20):
+            m = tuple(rng.randrange(q) for _ in range(w.dimension))
+            expected = m + quotient_mul(w.alphas[0], m, w.ctx)
+            assert weldon_encode(w, m) == expected
+
+    # a first column with a nonzero top coefficient folds to a dense alpha;
+    # t = 3 checks that every block gets its own multiplier
+    for q, k in ((2, 11), (3, 7), (5, 7)):
+        ctx = QuotientFieldContext(q, k)
+        cols = [[rng.randrange(q) for _ in range(k - 1)] + [1] for _ in range(2)]
+        d = TCirculantCode(q, k, cols, Fraction(1), lambda word: FAIL)
+        w = transform_circulant_to_weldon(d)
+        assert all(sum(a) for a in w.alphas)
+        for _ in range(20):
+            m = tuple(rng.randrange(q) for _ in range(k - 1))
+            expected = m
+            for alpha in w.alphas:
+                expected += quotient_mul(alpha, m, ctx)
+            assert weldon_encode(w, m) == expected
+            assert weldon_membership(w, expected)
+        assert w.code.columns == tuple(
+            weldon_encode(w, tuple(int(i == j) for i in range(k - 1)))
+            for j in range(k - 1)
+        )
+
+
+def test_wozencraft_paths_use_no_quotient_ring_product(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("quotient_mul called")
+
+    monkeypatch.setattr("dccodes.weldon.quotient_mul", forbidden)
+    monkeypatch.setattr("dccodes.algebra.quotient_mul", forbidden)
+    rng = random.Random(645)
+    for q, k, sidon in ((2, 19, (1, 8, 14)), (2, 59, None), (5, 7, (0, 1))):
+        w, d = build_wozencraft(q, k, sidon)
+        assert len(w.code.columns) == w.dimension
+        m = tuple(rng.randrange(q) for _ in range(w.dimension))
+        cw = weldon_encode(w, m)
+        assert weldon_membership(w, cw)
+        out = weldon_decode(w, d, _noisy(rng, q, cw, 1))
+        assert isinstance(out, Decoded) and out.codeword == cw
 
 
 def test_membership():
@@ -324,3 +390,55 @@ def test_wozencraft_decodes_at_capability_without_exhaustive_search(monkeypatch)
             out = weldon_decode(w, d, _noisy(rng, 2, cw, errors))
             assert isinstance(out, Decoded)
             assert out.codeword == cw and out.message == m
+
+
+# (q, k, Sidon set or None for the default): gap and non-gap instances over
+# q = 2, 3 and 5, for the parity digest below
+PARITY_INSTANCES = (
+    (2, 3, (0, 1)),
+    (2, 11, None),
+    (2, 19, (1, 8, 14)),
+    (2, 29, None),
+    (2, 59, None),
+    (2, 101, None),
+    (3, 5, (0, 1)),
+    (5, 7, (0, 1)),
+    (3, 7, (0, 1, 3)),
+)
+
+# sha256 of _parity_records() as computed by the quotient-ring implementation
+# (one pure-Python quotient_mul per block) that the circulant fold replaced
+PARITY_DIGEST = "4435187e43f35e5e44be35daa62e7b6b5a67ee4cbb903ea6bfd4db2419468b82"
+
+
+def _parity_records():
+    """Generator, encodings, memberships and decode outcomes with beta traces.
+
+    Each instance contributes its generator columns, then words at every
+    error weight from 0 to capability + 2 and uniformly random words; every
+    word gets its membership, its decode outcome and the beta trace.
+    """
+    records = []
+    for q, k, sidon in PARITY_INSTANCES:
+        w, d = build_wozencraft(q, k, sidon)
+        rng = random.Random(q * 10_000 + k)
+        records.append(("code", q, k, w.code.columns))
+        words = []
+        for errors in range(_capability(d.balanced_d / 2) + 3):
+            for _ in range(3):
+                m = tuple(rng.randrange(q) for _ in range(w.dimension))
+                cw = weldon_encode(w, m)
+                records.append(("encode", m, cw))
+                words.append(_noisy(rng, q, cw, errors))
+        for _ in range(4):
+            words.append(tuple(rng.randrange(q) for _ in range(w.n)))
+        for word in words:
+            trace: list = []
+            out = weldon_decode(w, d, word, trace=trace)
+            records.append(("decode", word, weldon_membership(w, word), out, trace))
+    return records
+
+
+def test_parity_digest_over_gap_and_non_gap_instances():
+    digest = hashlib.sha256(repr(_parity_records()).encode()).hexdigest()
+    assert digest == PARITY_DIGEST
