@@ -63,6 +63,7 @@ from .design_dc import (
     dc_encode,
     design_decode,
     design_profile,
+    majority_decode,
 )
 from .reed_muller import (
     RMCode,

@@ -413,13 +413,6 @@ class BinaryExtensionField:
         if self.element_order(self.generator) != order:
             raise ValueError("generator does not have full multiplicative order")
 
-    @property
-    def size(self) -> int:
-        return 1 << self.m
-
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         return _gf2m_mul(self.m, self._mod_int, a, b)
 
@@ -428,18 +421,6 @@ class BinaryExtensionField:
 
     def element_order(self, a: int) -> int:
         return _gf2m_order(self.m, self._mod_int, a)
-
-    def coeff_vector(self, a: int) -> tuple[int, ...]:
-        """The m coefficients of a over F_2, low degree first."""
-        return tuple((a >> i) & 1 for i in range(self.m))
-
-    def from_coeffs(self, coeffs: Sequence[int]) -> int:
-        if len(coeffs) > self.m:
-            raise ValueError("too many coefficients")
-        return sum((c & 1) << i for i, c in enumerate(coeffs))
-
-    def elements(self) -> range:
-        return range(1 << self.m)
 
 
 @lru_cache(maxsize=None)

@@ -20,17 +20,20 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import Polynomial, PrimeField, cyclic_mul
-from .code_core import FAIL, Decoded, DecodeOutcome, GeneratorMatrixCode, Word
+from .code_core import (
+    FAIL,
+    PATTERN_CHUNK,
+    Decoded,
+    DecodeOutcome,
+    GeneratorMatrixCode,
+    Word,
+)
 from .sidon import SidonSet
 
 # Self-test mutation hook: when set to a non-empty value, majority ties
 # resolve to the largest field element instead of the smallest, which the
 # self-test suite must detect as a failure.
 TIE_HOOK_ENV = "DCCODES_MAJORITY_TIE_HIGH"
-
-
-def _tie_high() -> bool:
-    return bool(os.environ.get(TIE_HOOK_ENV))
 
 
 @dataclass(frozen=True)
@@ -74,8 +77,8 @@ class CirculantMatrix:
         out = np.zeros_like(x)
         for s in self.support:
             a = self.first_column[s] % q
-            if a:
-                out += a * doubled[..., k - s : 2 * k - s]
+            shifted = doubled[..., k - s : 2 * k - s]
+            out += shifted if a == 1 else a * shifted
         return out % q
 
 
@@ -220,51 +223,59 @@ def dc_encode(code: SidonDCCode, m: Sequence[int]) -> Word:
 def column_majority(votes, q: int) -> np.ndarray:
     """Most frequent value in each column of votes, entries in [0, q).
 
-    A 1-D votes is one column. Ties resolve to the smallest field element
-    (largest under the self-test mutation hook). The decoder's correctness
-    proof guarantees a strict majority inside the decoding radius, so the
-    tie rule only matters beyond it, where the final distance check catches
-    wrong guesses anyway.
+    Votes reduce over the first axis: a 1-D votes is one column, and a
+    (d, k, N) array gives a (k, N) answer. Ties resolve to the smallest field
+    element (largest under the self-test mutation hook). The decoder's
+    correctness proof guarantees a strict majority inside the decoding radius,
+    so the tie rule only matters beyond it, where the final distance check
+    catches wrong guesses anyway.
     """
     votes = np.asarray(votes, dtype=np.int64)
+    tie_high = bool(os.environ.get(TIE_HOOK_ENV))
     if q == 2:
         twice_ones = 2 * votes.sum(axis=0)
         d = votes.shape[0]
-        won = twice_ones >= d if _tie_high() else twice_ones > d
+        won = twice_ones >= d if tie_high else twice_ones > d
         return won.astype(np.int64)
     counts = np.stack([(votes == alpha).sum(axis=0) for alpha in range(q)])
-    if _tie_high():
+    if tie_high:
         return q - 1 - counts[::-1].argmax(axis=0)
     return counts.argmax(axis=0)
 
 
-def design_decode(code: SidonDCCode, w: Sequence[int]) -> DecodeOutcome:
-    """Majority-vote decoding of the double-circulant code.
+def majority_decode(code: SidonDCCode, w) -> tuple[np.ndarray, np.ndarray]:
+    """Majority-vote decoding of a word, or of every row of an (N, 2k) array.
 
     With w = (w0, w1), the vector y = A*w0 - w1 equals A*e0 - e1 for error
     blocks e0, e1, so each coordinate of e0 shows up as the majority value of
     y over the matching column support whenever the total error weight is
-    below d/(2b). The recovered codeword is accepted only if it lies strictly
-    within that radius of w.
+    below d/(2b). Returns the codewords, an int64 array shaped like w, and
+    whether each lies strictly within that radius of its word. Rows are
+    voted on PATTERN_CHUNK // d at a time, to bound the (d, k, rows) votes.
     """
-    k = code.k
-    if len(w) != 2 * k:
+    k, q, d = code.k, code.q, code.profile.d
+    w = np.asarray(w, dtype=np.int64) % q
+    if w.shape[-1] != 2 * k:
         raise ValueError(f"word must have length {2 * k}")
-    q = code.q
-    d = code.profile.d
-    w_arr = np.asarray(w, dtype=np.int64) % q
-    w0, w1 = w_arr[:k], w_arr[k:]
-
+    rows = max(1, PATTERN_CHUNK // d)
+    if w.ndim == 2 and len(w) > rows:
+        chunks = (w[i : i + rows] for i in range(0, len(w), rows))
+        parts = [majority_decode(code, chunk) for chunk in chunks]
+        return tuple(np.concatenate(p) for p in zip(*parts))
+    w0, w1 = w[..., :k], w[..., k:]
     y = (code.circulant.act(w0, q) - w1) % q
-
-    votes = y[code._vote_idx]  # shape (d, k); column i sees y over supp+i
-    z = column_majority(votes, q)
-
+    # column i votes on y over supp+i: (d, k) votes for a word, (d, k, N) for rows
+    z = column_majority(y.T[code._vote_idx], q).T
     c0 = (w0 - z) % q
-    c_arr = np.concatenate([c0, code.circulant.act(c0, q)])
-    dist = int(np.count_nonzero(c_arr != w_arr))
+    c = np.concatenate([c0, code.circulant.act(c0, q)], axis=-1)
     # strict rational comparison: dist < d / (2b)
-    if 2 * code.profile.b * dist < d:
-        c = tuple(c_arr.tolist())
-        return Decoded(c, c[:k])
+    return c, 2 * code.profile.b * (c != w).sum(axis=-1) < d
+
+
+def design_decode(code: SidonDCCode, w: Sequence[int]) -> DecodeOutcome:
+    """majority_decode of one word, as a Decoded codeword or FAIL."""
+    c, ok = majority_decode(code, w)
+    if ok:
+        c = tuple(c.tolist())
+        return Decoded(c, c[: code.k])
     return FAIL

@@ -147,13 +147,12 @@ def punctured_ordering(m: int) -> tuple[int, ...]:
 class PuncturedRMCode:
     """RM(r, m) with the zero point removed, in generator-power point order."""
 
-    def __init__(self, full: RMCode, code: GeneratorMatrixCode, cyclic: CyclicCode):
+    def __init__(self, full: RMCode, cyclic: CyclicCode):
         self.r = full.r
         self.m = full.m
         self.n = full.n - 1
         self.ordering = punctured_ordering(full.m)
         self.full = full
-        self.code = code
         self.cyclic = cyclic
 
     def puncture(self, full_word: Sequence[int]) -> Word:
@@ -168,8 +167,8 @@ def build_punctured_rm(r: int, m: int) -> PuncturedRMCode:
     """Punctured RM(r, m); requires 1 <= r < m <= 12.
 
     Both failure modes that would falsify the cyclic-structure claim are
-    fatal: a rank drop under puncturing raises in the matrix constructor,
-    and a shift-closure failure raises in generator_from_spanning_set.
+    fatal: a shift-closure failure raises in generator_from_spanning_set,
+    and a rank drop under puncturing raises here.
     """
     if not 1 <= r < m:
         raise ValueError("need 1 <= r < m")
@@ -178,7 +177,9 @@ def build_punctured_rm(r: int, m: int) -> PuncturedRMCode:
     full = rm_code(r, m)
     pcols = full.evaluations[:, punctured_ordering(m)]
     cyc = generator_from_spanning_set(2, (1 << m) - 1, pcols)
-    return PuncturedRMCode(full, GeneratorMatrixCode(2, pcols), cyc)
+    if cyc.k != full.k:
+        raise ValueError(f"puncturing RM({r}, {m}) drops its rank")
+    return PuncturedRMCode(full, cyc)
 
 
 def _decode_lift(

@@ -34,10 +34,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .algebra import (
-    Polynomial,
     QuotientFieldContext,
     quotient_mul,  # unused here; the benchmark's tracer hooks this name
-    reduce_mod_pk,
+    reduce_mod_pk,  # unused here; the benchmark's tracer hooks this name
 )
 from .code_core import (
     FAIL,
@@ -55,6 +54,7 @@ from .design_dc import (
     SidonDCCode,
     build_sidon_dc,
     design_decode,
+    majority_decode,
 )
 from .sidon import SidonSet, sidon_for_length
 
@@ -87,12 +87,8 @@ class TCirculantCode(IdentityOverCirculants):
 
     @cached_property
     def alphas(self) -> tuple[tuple[int, ...], ...]:
-        """Images of the first columns in H, the Weldon code's multipliers."""
-        ctx = self.quotient_field
-        return tuple(
-            reduce_mod_pk(Polynomial(col, ctx.field), ctx)
-            for col in self.first_columns
-        )
+        """The first columns reduced mod p_k (a fold): the Weldon multipliers."""
+        return tuple(fold_word(col, self.q) for col in self.first_columns)
 
     def __repr__(self) -> str:
         return (
@@ -111,10 +107,11 @@ def flip_one_decode(
 ) -> DecodeOutcome:
     """Majority decoding, retried after each single-symbol change of w.
 
-    Runs design_decode on w, then on each of the n*(q-1) words that differ
-    from w in one symbol, and accepts the first codeword strictly within
-    radius of w; at most n*(q-1) + 1 majority decodes (a Chase-style
-    trial-pattern decoder, Chase 1972).
+    Runs design_decode on w and, if that misses, majority_decode on the
+    n*(q-1) words that differ from w in one symbol as one batch; the first
+    codeword strictly within radius of w is the answer, in the order of
+    positions and then of the added symbol (a Chase-style trial-pattern
+    decoder, Chase 1972).
 
     Exact for fewer than radius errors whenever radius <= balanced_d/2,
     and so radius <= d/(2b) + 1/2 since balanced_d <= d/b + 1. Sketch: let
@@ -127,25 +124,26 @@ def flip_one_decode(
     only codeword strictly within radius of w.
     """
     q = sdc.q
-    word = tuple(int(v) % q for v in w)
+    word = np.asarray(w, dtype=np.int64) % q
 
-    def accept(out: DecodeOutcome) -> bool:
-        if out is FAIL:
-            return False
-        return Fraction(hamming_distance(out.codeword, word)) < radius
+    def within(c: np.ndarray) -> np.ndarray:
+        dist = np.count_nonzero(c != word, axis=-1)
+        return dist * radius.denominator < radius.numerator
 
     out = design_decode(sdc, word)
-    if accept(out):
+    if out is not FAIL and within(np.array(out.codeword)):
         return out
-    trial = list(word)
-    for pos, symbol in enumerate(word):
-        for delta in range(1, q):
-            trial[pos] = (symbol + delta) % q
-            out = design_decode(sdc, trial)
-            if accept(out):
-                return out
-        trial[pos] = symbol
-    return FAIL
+    # row pos*(q-1) + delta-1 adds delta at pos: the serial order of the trials
+    n = len(word)
+    trials = np.tile(word, (n * (q - 1), 1))
+    pos = np.repeat(np.arange(n), q - 1)
+    trials[np.arange(len(pos)), pos] += np.tile(np.arange(1, q), n)
+    c, ok = majority_decode(sdc, trials)
+    hits = np.flatnonzero(ok & within(c))
+    if not hits.size:
+        return FAIL
+    c = tuple(c[hits[0]].tolist())
+    return Decoded(c, c[: sdc.k])
 
 
 def tcirculant_from_sidon_dc(sdc: SidonDCCode) -> TCirculantCode:

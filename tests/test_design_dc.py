@@ -1,10 +1,12 @@
 import hashlib
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from dccodes import code_core, design_dc
 from dccodes.algebra import Polynomial, PrimeField, cyclic_mul
 from dccodes.code_core import (
     FAIL,
@@ -23,6 +25,7 @@ from dccodes.design_dc import (
     dc_encode,
     design_decode,
     design_profile,
+    majority_decode,
 )
 from dccodes.sidon import SidonSet, sidon_erdos_turan, sidon_for_length
 from dccodes.weldon import build_wozencraft
@@ -161,6 +164,12 @@ def test_majority_vote_tie_hook(monkeypatch):
     votes = np.array([[1, 0, 2, 1], [1, 0, 2, 0], [0, 1, 1, 2], [0, 1, 0, 2]])
     assert column_majority(votes[:, :2], 2).tolist() == [1, 1]
     assert column_majority(votes, 3).tolist() == [1, 1, 2, 2]
+    # batch: row 0's errors at 0 and 1 tie column 0's votes {0, 1, 3, 7}
+    code = build_sidon_dc(2, 16, (0, 1, 3, 7))
+    words = np.zeros((2, 32), dtype=np.int64)
+    words[0, [16, 17]] = 1
+    c, _ = majority_decode(code, words)
+    assert c[:, 0].tolist() == [1, 0]  # [0, 0] with the hook off
 
 
 def test_decode_clean_codewords():
@@ -266,20 +275,39 @@ def test_vectorized_decoder_matches_reference(monkeypatch, tie_high):
     else:
         monkeypatch.delenv("DCCODES_MAJORITY_TIE_HIGH", raising=False)
     rng = random.Random(233)
+    plant = random.Random(239)
     fixtures = [
         build_sidon_dc(3, 18, (0, 7, 13)),
         build_sidon_dc(2, 16, (0, 1, 3, 7)),  # even d: binary ties reachable
+        build_sidon_dc(5, 20, (0, 1, 3, 7, 12)),
     ]
     for code in fixtures:
-        for _ in range(60):
-            w = tuple(rng.randrange(code.q) for _ in range(2 * code.k))
-            expected = _reference_decode(code, w, tie_high)
+        q, n = code.q, 2 * code.k
+        words = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(60)]
+        # codewords with 0 to ceil(d/(2b)) + 1 errors: within the radius and past it
+        for errors in range(math.ceil(code.decode_radius) + 2):
+            for _ in range(10):
+                m = [plant.randrange(q) for _ in range(code.k)]
+                w = list(dc_encode(code, m))
+                for pos in plant.sample(range(n), errors):
+                    w[pos] = (w[pos] + plant.randrange(1, q)) % q
+                words.append(tuple(w))
+        expected = [_reference_decode(code, w, tie_high) for w in words]
+        for w, exp in zip(words, expected):
             out = design_decode(code, w)
-            if expected is None:
+            if exp is None:
                 assert out is FAIL
             else:
                 assert isinstance(out, Decoded)
-                assert out.codeword == expected
+                assert out.codeword == exp
+        # the same words as one batch, whole and in chunks of 7 rows
+        for chunk in (code_core.PATTERN_CHUNK, 7 * code.profile.d):
+            monkeypatch.setattr(design_dc, "PATTERN_CHUNK", chunk)
+            c, ok = majority_decode(code, np.array(words))
+            assert ok.tolist() == [exp is not None for exp in expected]
+            for row, exp in zip(c, expected):
+                if exp is not None:
+                    assert tuple(row.tolist()) == exp
 
 
 def test_sidon_dc_requires_two_elements():

@@ -8,6 +8,7 @@ import pytest
 from dccodes.code_core import (
     FAIL,
     Decoded,
+    GeneratorMatrixCode,
     brute_force_distance,
     hamming_weight,
     iter_codewords,
@@ -172,11 +173,11 @@ def test_punctured_ordering():
 
 def test_build_punctured_rm_parameters():
     hamming = build_punctured_rm(1, 3)
-    assert hamming.n == 7 and hamming.code.k == 4
+    assert hamming.n == 7 and hamming.cyclic.k == 4
     assert int(hamming.cyclic.g.degree) == 3
 
     big = build_punctured_rm(2, 4)
-    assert big.n == 15 and big.code.k == 11
+    assert big.n == 15 and big.cyclic.k == 11
     assert int(big.cyclic.g.degree) == 4
 
     with pytest.raises(ValueError):
@@ -187,7 +188,8 @@ def test_build_punctured_rm_parameters():
 
 def test_punctured_cyclic_codewords_agree():
     pcode = build_punctured_rm(1, 3)
-    as_matrix = {cw for _, cw in iter_codewords(pcode.code)}
+    code = GeneratorMatrixCode(2, pcode.full.evaluations[:, pcode.ordering])
+    as_matrix = {cw for _, cw in iter_codewords(code)}
     as_cyclic = {cw for _, cw in iter_codewords(pcode.cyclic.generator_code)}
     assert as_matrix == as_cyclic
 
