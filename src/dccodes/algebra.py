@@ -6,6 +6,10 @@ extension fields GF(2^m) on bitmask ints, and the quotient ring
 F_q[x] / (1 + x + ... + x^(k-1)), which is a field exactly when k is prime
 and q is a primitive root mod k.
 
+circulant_product is the one circulant (cyclic convolution) kernel: the
+circulant blocks of every family, cyclic_mul and the rm-dc division by the
+check polynomial all run on it.
+
 The quotient-ring section validates (q, k) and keeps reference arithmetic
 (reduce_mod_pk, quotient_mul) for the tests; the Wozencraft codes compute
 their products as folds of circulant products, in weldon.
@@ -15,8 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
+
+import numpy as np
 
 # Degree of the zero polynomial: compares below every integer.
 NEG_INF = float("-inf")
@@ -87,6 +93,11 @@ class Polynomial:
         while c and c[-1] == 0:
             c.pop()
         object.__setattr__(self, "coeffs", tuple(c))
+
+    @cached_property
+    def terms(self) -> tuple[tuple[int, int], ...]:
+        """(exponent, coefficient) of every nonzero coefficient."""
+        return tuple((i, c) for i, c in enumerate(self.coeffs) if c)
 
     @property
     def degree(self) -> int | float:
@@ -229,27 +240,55 @@ def poly_reverse(h: Polynomial, k: int) -> Polynomial:
     return Polynomial(tuple(reversed(h.padded(k + 1))), h.field)
 
 
-def cyclic_mul(a: Polynomial, m: Polynomial, k: int) -> tuple[int, ...]:
+def reduce_mod(x: np.ndarray, q: int) -> np.ndarray:
+    """An int64 array reduced into [0, q).
+
+    For q = 2 this is x & 1, which equals x % 2 on negative entries too and
+    which numpy computes many times faster than the int64 remainder.
+    """
+    return x & 1 if q == 2 else x % q
+
+
+def circulant_product(terms: Sequence[tuple[int, int]], x, q: int) -> np.ndarray:
+    """A*x over F_q, where A is the circulant with first column entry a at
+    row s for each (s, a) in terms, and zero elsewhere.
+
+    x is a length-k vector or an (N, k) array of rows, and every s lies in
+    range(k). Returns an int64 array shaped like x, reduced mod q. Entry i is
+    the sum over terms of a * x_(i-s mod k): each term is one slice of x laid
+    twice end to end, added without a multiply when a = 1. So the work is one
+    pass over x per nonzero first-column entry, and working memory stays a
+    few arrays of x's size.
+    """
+    x = reduce_mod(np.asarray(x, dtype=np.int64), q)
+    k = x.shape[-1]
+    doubled = np.concatenate([x, x], axis=-1)
+    out = np.zeros_like(x)
+    for s, a in terms:
+        a %= q
+        shifted = doubled[..., k - s : 2 * k - s]
+        out += shifted if a == 1 else a * shifted
+    return reduce_mod(out, q)
+
+
+def cyclic_mul(
+    a: Polynomial, m: Polynomial | Sequence[int] | np.ndarray, k: int
+) -> tuple[int, ...]:
     """Coefficient vector of a(x)*m(x) mod x^k - 1, as a length-k tuple.
 
-    This equals the product of the k x k circulant matrix whose first column
-    holds the coefficients of a with the coefficient vector of m.
+    m is a Polynomial over a's field, or a coefficient sequence or array of
+    length at most k. The product is circulant_product of the circulant whose
+    first column holds the coefficients of a, so it walks only a's nonzero
+    coefficients.
     """
-    a._check(m)
-    if a.degree >= k or m.degree >= k:
+    if isinstance(m, Polynomial):
+        a._check(m)
+        m = m.coeffs
+    if a.degree >= k or len(m) > k:
         raise ValueError(f"operands must have degree below {k}")
-    q = a.field.q
-    out = [0] * k
-    for i, av in enumerate(a.coeffs):
-        if av == 0:
-            continue
-        for j, mv in enumerate(m.coeffs):
-            if mv:
-                idx = i + j
-                if idx >= k:
-                    idx -= k
-                out[idx] = (out[idx] + av * mv) % q
-    return tuple(out)
+    x = np.zeros(k, dtype=np.int64)
+    x[: len(m)] = m
+    return tuple(circulant_product(a.terms, x, a.field.q).tolist())
 
 
 # ---------------------------------------------------------------------------

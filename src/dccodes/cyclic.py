@@ -21,9 +21,11 @@ import numpy as np
 from .algebra import (
     Polynomial,
     PrimeField,
+    circulant_product,
     poly_divmod,
     poly_mul,
     poly_reverse,
+    reduce_mod,
 )
 from .code_core import DecodeOutcome, GeneratorMatrixCode, _rref
 
@@ -85,6 +87,22 @@ class CyclicCode:
             shifted = Polynomial((0,) * i + self.g.coeffs, self.field)
             cols.append(shifted.padded(self.n))
         return GeneratorMatrixCode(self.q, cols, n=self.n)
+
+    def quotient(self, c: Sequence[int]) -> Optional[np.ndarray]:
+        """r with c = r*g, padded to length n, or None when c is no codeword.
+
+        c = r*g exactly when c*h = r*(x^n - 1) (MacWilliams-Sloane, ch. 7), so
+        one product with the check polynomial h divides by g: the top n
+        coefficients of c*h are r, and c is a codeword iff they cancel the
+        bottom n, i.e. iff c*h vanishes mod x^n - 1.
+        """
+        n, q = self.n, self.q
+        padded = np.zeros(2 * n, dtype=np.int64)
+        padded[:n] = c
+        # 2n-point cyclic product of operands of degree < n: the linear product
+        prod = circulant_product(self.h.terms, padded, q)
+        r = prod[n:]
+        return None if reduce_mod(prod[:n] + r, q).any() else r
 
     def with_decoders(
         self,

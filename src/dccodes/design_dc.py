@@ -5,8 +5,9 @@ indicator vector of a Sidon set. Distinct pairwise differences cap the
 support overlap of any two circulant columns at 2, and that overlap bound b
 is exactly what drives the majority decoder's radius d/(2b).
 
-This module also holds the circulant kernel and the identity-over-circulants
-core that all three families (Sidon, cyclic and Wozencraft) are built on.
+This module also holds the circulant matrix type and the
+identity-over-circulants core that all three families (Sidon, cyclic and
+Wozencraft) are built on; their products run on algebra.circulant_product.
 """
 
 from __future__ import annotations
@@ -19,7 +20,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import Polynomial, PrimeField, cyclic_mul
+from .algebra import (
+    Polynomial,
+    PrimeField,
+    circulant_product,
+    cyclic_mul,
+    reduce_mod,
+)
 from .code_core import (
     FAIL,
     PATTERN_CHUNK,
@@ -61,25 +68,21 @@ class CirculantMatrix:
         k = self.k
         return tuple(a[(i - j) % k] for i in range(k))
 
+    @cached_property
+    def terms(self) -> tuple[tuple[int, int], ...]:
+        """(row, entry) of every nonzero first-column entry."""
+        return tuple((s, self.first_column[s]) for s in self.support)
+
     def act(self, x, q: int) -> np.ndarray:
         """A*x over F_q for a length-k vector, or for every row of an (N, k) array.
 
-        Returns an int64 array shaped like x, reduced mod q. Entry i is the
-        sum over the support of a_s * x_(i-s mod k); each term is one slice of
-        x laid twice end to end, so working memory stays a few arrays of x's
-        size whatever the weight of the first column.
+        Returns an int64 array shaped like x, reduced mod q; see
+        circulant_product.
         """
-        x = np.asarray(x, dtype=np.int64) % q
-        k = self.k
-        if x.shape[-1] != k:
-            raise ValueError(f"operand must have length {k}")
-        doubled = np.concatenate([x, x], axis=-1)
-        out = np.zeros_like(x)
-        for s in self.support:
-            a = self.first_column[s] % q
-            shifted = doubled[..., k - s : 2 * k - s]
-            out += shifted if a == 1 else a * shifted
-        return out % q
+        x = np.asarray(x, dtype=np.int64)
+        if x.shape[-1] != self.k:
+            raise ValueError(f"operand must have length {self.k}")
+        return circulant_product(self.terms, x, q)
 
 
 @dataclass(frozen=True)
@@ -132,6 +135,9 @@ class IdentityOverCirculants:
             tuple(int(v) % q for v in col) for col in first_columns
         )
         self.circulants = tuple(CirculantMatrix(k, col) for col in self.first_columns)
+        self._column_polys = tuple(
+            Polynomial(col, self.field) for col in self.first_columns
+        )
         self.t = len(self.first_columns) + 1
 
     @property
@@ -141,18 +147,17 @@ class IdentityOverCirculants:
     def encode(self, m: Sequence[int]) -> Word:
         """Codeword (m, A_1*m, ..., A_(t-1)*m).
 
-        A single message goes through the pure-Python product cyclic_mul,
-        the encode work the sidon-codec and rm-codec benchmark streams trace;
-        act serves the batched uses (the generator and the decoders).
+        Each block is one cyclic_mul of the message by a column polynomial
+        built with the code, so a single message costs one circulant_product
+        per block.
         """
         if len(m) != self.k:
             raise ValueError(f"message must have length {self.k}")
-        msg = tuple(int(v) % self.q for v in m)
-        poly = Polynomial(msg, self.field)
-        out = list(msg)
-        for col in self.first_columns:
-            out.extend(cyclic_mul(Polynomial(col, self.field), poly, self.k))
-        return tuple(out)
+        msg = reduce_mod(np.asarray(m, dtype=np.int64), self.q)
+        out = tuple(msg.tolist())
+        for col in self._column_polys:
+            out += cyclic_mul(col, msg, self.k)
+        return out
 
     @cached_property
     def code(self) -> GeneratorMatrixCode:
@@ -254,7 +259,7 @@ def majority_decode(code: SidonDCCode, w) -> tuple[np.ndarray, np.ndarray]:
     voted on PATTERN_CHUNK // d at a time, to bound the (d, k, rows) votes.
     """
     k, q, d = code.k, code.q, code.profile.d
-    w = np.asarray(w, dtype=np.int64) % q
+    w = reduce_mod(np.asarray(w, dtype=np.int64), q)
     if w.shape[-1] != 2 * k:
         raise ValueError(f"word must have length {2 * k}")
     rows = max(1, PATTERN_CHUNK // d)
@@ -263,10 +268,10 @@ def majority_decode(code: SidonDCCode, w) -> tuple[np.ndarray, np.ndarray]:
         parts = [majority_decode(code, chunk) for chunk in chunks]
         return tuple(np.concatenate(p) for p in zip(*parts))
     w0, w1 = w[..., :k], w[..., k:]
-    y = (code.circulant.act(w0, q) - w1) % q
+    y = reduce_mod(code.circulant.act(w0, q) - w1, q)
     # column i votes on y over supp+i: (d, k) votes for a word, (d, k, N) for rows
     z = column_majority(y.T[code._vote_idx], q).T
-    c0 = (w0 - z) % q
+    c0 = reduce_mod(w0 - z, q)
     c = np.concatenate([c0, code.circulant.act(c0, q)], axis=-1)
     # strict rational comparison: dist < d / (2b)
     return c, 2 * code.profile.b * (c != w).sum(axis=-1) < d

@@ -29,7 +29,6 @@ from .code_core import (
     DecodeOutcome,
     GeneratorMatrixCode,
     Word,
-    hamming_distance,
 )
 from .cyclic import CyclicCode, generator_from_spanning_set
 
@@ -151,12 +150,12 @@ class PuncturedRMCode:
         self.r = full.r
         self.m = full.m
         self.n = full.n - 1
-        self.ordering = punctured_ordering(full.m)
+        self.ordering = np.array(punctured_ordering(full.m))
         self.full = full
         self.cyclic = cyclic
 
     def puncture(self, full_word: Sequence[int]) -> Word:
-        return tuple(full_word[p] for p in self.ordering)
+        return tuple(np.asarray(full_word)[self.ordering].tolist())
 
     def __repr__(self) -> str:
         return f"PuncturedRMCode(r={self.r}, m={self.m})"
@@ -190,15 +189,15 @@ def _decode_lift(
     within radius of w."""
     if len(w) != pcode.n:
         raise ValueError(f"word must have length {pcode.n}")
-    full_w = [zero_value] * pcode.full.n
-    for idx, p in enumerate(pcode.ordering):
-        full_w[p] = w[idx] & 1
+    w = np.asarray(w, dtype=np.int64)
+    full_w = np.full(pcode.full.n, zero_value, dtype=np.int64)
+    full_w[pcode.ordering] = w & 1
     out = reed_decode(pcode.full, full_w)
     if out is FAIL:
         return FAIL
-    pcw = pcode.puncture(out.codeword)
-    if hamming_distance(pcw, w) < radius:
-        return Decoded(pcw, out.message)
+    pcw = np.asarray(out.codeword)[pcode.ordering]
+    if int((pcw != w).sum()) < radius:
+        return Decoded(tuple(pcw.tolist()), out.message)
     return FAIL
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from dccodes.code_core import (
     is_codeword,
     nearest_codeword,
 )
+from dccodes import cyc_dc
 from dccodes.cyc_dc import (
     CyclicDCCode,
     build_rm_dual_dc,
@@ -20,7 +22,7 @@ from dccodes.cyc_dc import (
     cyc_dc_encode,
     d_balanced_check,
 )
-from dccodes.cyclic import CyclicCode, dual_code
+from dccodes.cyclic import CyclicCode, dual_code, enumerate_cyclic_codes
 
 F2 = PrimeField(2)
 
@@ -131,6 +133,76 @@ def test_decode_never_exceeds_radius():
         out = cyc_dc_decode(RM_DC, w)
         if out is not FAIL:
             assert Fraction(hamming_distance(out.codeword, w)) < RM_DC.decode_radius
+
+
+# sha256 of cyc_dc_decode's outcomes on seeded words over rm-dc m=4..8 and
+# every r it allows, with 0 to d'+2 errors, taken while stage 1 still
+# divided by g with poly_divmod and re-encoded with the schoolbook product
+PINNED_DECODE_OUTCOMES = (
+    "dacf1f7e85d2ae219bcc97054011d20f9b59ed0e52a16ae20f4617fd590afd31"
+)
+
+
+def test_cyc_dc_decode_outcomes_pinned():
+    h = hashlib.sha256()
+    fails = 0
+    for m in range(4, 9):
+        for r in range(1, m - 1):
+            code = build_rm_dual_dc(m, r)
+            rng = random.Random(f"cycdc{m}{r}")
+            for errors in range(code.d_prime + 3):
+                for _ in range(4):
+                    msg = [rng.randrange(2) for _ in range(code.k)]
+                    w = list(cyc_dc_encode(code, msg))
+                    for pos in rng.sample(range(code.n), errors):
+                        w[pos] ^= 1
+                    out = cyc_dc_decode(code, w)
+                    fails += out is FAIL
+                    h.update(b"F" if out is FAIL else bytes(out.codeword + out.message))
+    assert 0 < fails < 736
+    assert h.hexdigest() == PINNED_DECODE_OUTCOMES
+
+
+def test_stage_one_answer_outside_base_code_fails(monkeypatch):
+    # a stage-1 decoder that answers with a word just outside the base code
+    real = cyc_dc.shortened_dual_rm_decode
+
+    def off_code(pcode, word, radius):
+        out = real(pcode, word, radius)
+        if out is FAIL:
+            return out
+        return Decoded((1 - out.codeword[0],) + out.codeword[1:], out.message)
+
+    code = build_rm_dual_dc(5)
+    rng = random.Random(569)
+    msgs = [tuple(rng.randrange(2) for _ in range(code.k)) for _ in range(10)]
+    assert all(cyc_dc_decode(code, cyc_dc_encode(code, m)).message == m for m in msgs)
+    monkeypatch.setattr(cyc_dc, "shortened_dual_rm_decode", off_code)
+    for m in msgs:
+        assert cyc_dc_decode(code, cyc_dc_encode(code, m)) is FAIL
+
+
+@pytest.mark.parametrize(
+    "bases",
+    [[RM_DC.base], [build_rm_dual_dc(8).base], enumerate_cyclic_codes(3, 8)],
+    ids=["rm-dc-m4", "rm-dc-m8", "q3-n8-all"],
+)
+def test_h_quotient_matches_poly_divmod(bases):
+    rng = random.Random(5 * len(bases))
+    for base in bases:
+        field = base.field
+        for _ in range(20):
+            r = Polynomial(tuple(rng.randrange(base.q) for _ in range(base.k)), field)
+            c = poly_mul(r, base.g).padded(base.n) if base.k else (0,) * base.n
+            assert base.quotient(c).tolist() == list(r.padded(base.n))
+            noisy = list(c)
+            noisy[rng.randrange(base.n)] += rng.randrange(1, base.q)
+            quot, rem = poly_divmod(Polynomial(tuple(noisy), field), base.g)
+            got = base.quotient(noisy)
+            if rem.is_zero():
+                assert got.tolist() == list(quot.padded(base.n))
+            else:
+                assert got is None
 
 
 def _message_case_split(base, d_perp, messages):

@@ -48,28 +48,58 @@ def test_circulant_columns_shift():
     assert c.support == (0, 1)
 
 
-@pytest.mark.parametrize("q", [2, 3, 5])
-@pytest.mark.parametrize("k", [1, 2, 7, 18, 242])
-@pytest.mark.parametrize("density", ["sparse", "dense"])
+def _cyclic_mul_reference(a, m, k, q):
+    """a(x)*m(x) mod x^k - 1 as a length-k tuple, by the schoolbook double
+    loop that cyclic_mul ran before it moved onto circulant_product; kept as
+    the independent reference for that kernel."""
+    out = [0] * k
+    for i, av in enumerate(a):
+        if av % q == 0:
+            continue
+        for j, mv in enumerate(m):
+            if mv % q:
+                idx = (i + j) % k
+                out[idx] = (out[idx] + av * mv) % q
+    return tuple(out)
+
+
+# (q, k, kind of first column); "trailing" columns end in zeros, so
+# cyclic_mul's canonical polynomial is shorter than the circulant's column
+CIRCULANT_CASES = [
+    *((q, k, density) for density in ("dense", "sparse") for k in (1, 2, 7, 18, 242)
+      for q in (2, 3, 5)),
+    *((q, 2000, "sparse") for q in (2, 3, 5)),
+    *((q, 255, "dense") for q in (2, 3, 5)),
+    *((q, k, "trailing") for k in (2, 18, 255) for q in (2, 3, 5)),
+]
+
+
+@pytest.mark.parametrize(
+    "q,k,density", CIRCULANT_CASES, ids=[f"{d}-{k}-{q}" for q, k, d in CIRCULANT_CASES]
+)
 def test_circulant_act_matches_cyclic_mul(q, k, density):
     rng = random.Random(f"{q}-{k}-{density}")
     if density == "sparse":
         first = [0] * k
-        for i in rng.sample(range(k), min(k, 3)):
+        for i in rng.sample(range(k), min(k, math.isqrt(k) + 2)):
             first[i] = rng.randrange(1, q)
     else:
         first = [rng.randrange(q) for _ in range(k)]
+    if density == "trailing":
+        first[0] = 1
+        first[k // 2 + 1 :] = [0] * (k - k // 2 - 1)
     a = CirculantMatrix(k, tuple(first))
     field = PrimeField(q)
+    a_poly = Polynomial(tuple(first), field)
     batch = [[rng.randrange(-q, 2 * q) for _ in range(k)] for _ in range(6)]
-    expected = [
-        cyclic_mul(Polynomial(tuple(first), field), Polynomial(tuple(row), field), k)
-        for row in batch
-    ]
+    batch[-1][k // 2 :] = [0] * (k - k // 2)
+    expected = [_cyclic_mul_reference(first, row, k, q) for row in batch]
     for row, exp in zip(batch, expected):
         out = a.act(row, q)
         assert out.dtype == np.int64 and out.shape == (k,)
         assert tuple(out.tolist()) == exp
+        assert cyclic_mul(a_poly, Polynomial(tuple(row), field), k) == exp
+        assert cyclic_mul(a_poly, row, k) == exp
     out = a.act(np.array(batch), q)
     assert out.dtype == np.int64 and out.shape == (len(batch), k)
     assert [tuple(r) for r in out.tolist()] == expected
@@ -244,11 +274,7 @@ def _reference_decode(code, w, tie_high):
     w0, w1 = list(w[:k]), list(w[k:])
 
     def act(vec):
-        return cyclic_mul(
-            Polynomial(code.circulant.first_column, code.field),
-            Polynomial(tuple(vec), code.field),
-            k,
-        )
+        return _cyclic_mul_reference(code.circulant.first_column, vec, k, q)
 
     aw0 = act(w0)
     y = [(aw0[j] - w1[j]) % q for j in range(k)]
