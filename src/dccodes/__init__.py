@@ -70,6 +70,7 @@ from .reed_muller import (
     build_punctured_rm,
     punctured_rm_decode,
     reed_decode,
+    reed_majority,
     rm_code,
     rm_encode,
     shortened_dual_rm_decode,

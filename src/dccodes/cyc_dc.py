@@ -91,7 +91,8 @@ def cyc_dc_decode(code: CyclicDCCode, w: Sequence[int]) -> DecodeOutcome:
     answer outside the base code is a Fail. Stage 2 subtracts the quotient
     from the first block, reverses it, and decodes in the dual code. The two
     stages pin down the message, and a final strict distance check against
-    min(d, d_perp)/2 guards the re-encoded output.
+    min(d, d_perp)/2 guards the re-encoded output. Both stage decoders get
+    int64 arrays; tuples are made only for the Decoded returned.
     """
     k = code.k
     if len(w) != 2 * k:
@@ -101,7 +102,7 @@ def cyc_dc_decode(code: CyclicDCCode, w: Sequence[int]) -> DecodeOutcome:
     reduced = reduce_mod(raw, q)
     w0, w1 = reduced[:k], reduced[k:]
 
-    out1 = code.base.decoder(tuple(w1.tolist()), Fraction(code.d, 2))
+    out1 = code.base.decoder(w1, Fraction(code.d, 2))
     if out1 is FAIL:
         return FAIL
     r = code.base.quotient(out1.codeword)
@@ -109,7 +110,7 @@ def cyc_dc_decode(code: CyclicDCCode, w: Sequence[int]) -> DecodeOutcome:
         return FAIL
 
     shifted = reduce_mod(w0 - r, q)[::-1]
-    out0 = code.base.dual_decoder(tuple(shifted.tolist()), Fraction(code.d_perp, 2))
+    out0 = code.base.dual_decoder(shifted, Fraction(code.d_perp, 2))
     if out0 is FAIL:
         return FAIL
 

@@ -29,8 +29,9 @@ from .algebra import (
 )
 from .code_core import DecodeOutcome, GeneratorMatrixCode, _rref
 
-# A decoder plug-in receives a word and a strict rational radius and returns
-# Decoded or FAIL. The radius is the caller's promise about the error weight.
+# A decoder plug-in receives a word (any int sequence; cyc_dc_decode passes
+# int64 arrays) and a strict rational radius and returns Decoded or FAIL. The
+# radius is the caller's promise about the error weight.
 CyclicDecoder = Callable[[Sequence[int], Fraction], DecodeOutcome]
 
 

@@ -5,7 +5,13 @@ degree at most r in m variables over F_2. Point i of the evaluation domain
 is the assignment with variable x_j set to bit j of i, and a monomial is
 held as the bitmask of its variable set, so "monomial T evaluates to 1 at
 point i" is just T & i == T; RMCode.evaluations tabulates that rule once
-and every encoder and decoder here reads the table.
+and every encoder here reads the table.
+
+Majority-logic decoding reads one vote table per degree layer,
+RMCode.layers: layers[l][a, j, c] is point a of coset c of the j-th degree-l
+monomial's variable subcube. A vote is the XOR-fold of a coset's points, so
+a whole layer votes with one gather and one fold over axis 0, for one word
+or a batch (reed_majority).
 
 Removing the zero point and ordering the remaining points along powers of a
 multiplicative generator of GF(2^m) turns RM(r, m) into a cyclic code. That
@@ -25,6 +31,7 @@ import numpy as np
 from .algebra import build_gf2m
 from .code_core import (
     FAIL,
+    PATTERN_CHUNK,
     Decoded,
     DecodeOutcome,
     GeneratorMatrixCode,
@@ -63,15 +70,25 @@ class RMCode:
         return ((t & np.arange(self.n)) == t).astype(np.uint8)
 
     @cached_property
-    def cosets(self) -> np.ndarray:
-        """k x n point indices: row j lists the 2^(m-l) cosets of degree-l
-        monomial j's variable subcube, 2^l consecutive points each.
+    def layers(self) -> tuple[np.ndarray, ...]:
+        """Vote table per degree l = 0..r, shaped (2^l, C(m, l), 2^(m-l)).
 
-        A coset is the points that agree outside the monomial's variables,
-        so sorting the points by those bits groups each coset together.
+        Entry [a, j, c] is the point whose bits inside the j-th degree-l
+        monomial's variable set spell a and whose bits outside it spell c, so
+        column [:, j, c] is coset c of the monomial's subcube and row a = 2^l - 1
+        holds the one point of each coset where the monomial evaluates to 1.
+        Monomials j run in message order within the layer.
         """
-        outside = (self.n - 1) ^ np.array(self.monomials)[:, None]
-        return np.argsort(np.arange(self.n) & outside, axis=1)
+        m, stop = self.m, 0
+        tables = []
+        for ell in range(self.r + 1):
+            start, stop = stop, stop + comb(m, ell)
+            masks = np.array(self.monomials[start:stop])
+            inside = (masks[:, None] >> np.arange(m)) & 1
+            a = _spread(inside, ell)[:, :, None]
+            c = _spread(1 - inside, m - ell).T
+            tables.append(np.bitwise_or(a, c, order="C"))
+        return tuple(tables)
 
     @cached_property
     def generator_code(self) -> GeneratorMatrixCode:
@@ -79,6 +96,14 @@ class RMCode:
 
     def __repr__(self) -> str:
         return f"RMCode(r={self.r}, m={self.m})"
+
+
+def _spread(variables: np.ndarray, width: int) -> np.ndarray:
+    """(2^width, rows) points: entry [a, j] puts the bits of a, lowest first,
+    on the `width` variables flagged in row j of the 0/1 array `variables`."""
+    positions = np.nonzero(variables)[1].reshape(len(variables), width)
+    a_bits = (np.arange(1 << width)[:, None] >> np.arange(width)) & 1
+    return a_bits @ (1 << positions).T
 
 
 @lru_cache(maxsize=None)
@@ -94,33 +119,51 @@ def rm_encode(code: RMCode, coeffs: Sequence[int]) -> Word:
     return tuple(((np.asarray(coeffs) & 1) @ code.evaluations % 2).tolist())
 
 
-def reed_decode(code: RMCode, w: Sequence[int]) -> DecodeOutcome:
-    """Majority-logic decoding, highest degree layer first.
+def reed_majority(code: RMCode, words) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Majority-logic decoding of a word, or of every row of an (N, n) array.
 
-    The coefficient of a degree-l monomial T equals the sum of the codeword
-    over any coset of T's variable subcube, so each of the 2^(m-l) cosets
-    casts one vote; below half distance the correct value always has a
-    strict majority. Ties vote 0. After each layer the decoded part is
-    subtracted. Returns Fail when the final residual reaches weight
-    2^(m-r-1), i.e. the word was not within the guaranteed radius.
+    Highest degree layer first: the coefficient of a degree-l monomial T
+    equals the sum of the codeword over any coset of T's variable subcube,
+    so each of the 2^(m-l) cosets in code.layers[l] casts one vote, the
+    XOR-fold of its points; below half distance the correct value always
+    has a strict majority. Ties vote 0. After each layer the decoded part is
+    subtracted. Returns the codewords (uint8, shaped like words), the
+    messages, and whether the final residual stays strictly under weight
+    2^(m-r-1), i.e. the word was within the guaranteed radius. Rows are
+    decoded PATTERN_CHUNK // k at a time, to bound the gathered votes.
     """
-    if len(w) != code.n:
+    received = (np.asarray(words, dtype=np.int64) & 1).astype(np.uint8)
+    if received.shape[-1] != code.n:
         raise ValueError(f"word must have length {code.n}")
-    received = np.asarray(w, dtype=np.int64) & 1
+    rows = max(1, PATTERN_CHUNK // code.k)
+    if received.ndim == 2 and len(received) > rows:
+        chunks = (received[i : i + rows] for i in range(0, len(received), rows))
+        parts = [reed_majority(code, chunk) for chunk in chunks]
+        return tuple(np.concatenate(p) for p in zip(*parts))
     working = received.copy()
-    msg = np.zeros(code.k, dtype=np.int64)
+    msg = np.zeros(received.shape[:-1] + (code.k,), dtype=np.uint8)
     stop = code.k
-    for ell in range(code.r, -1, -1):
-        start = stop - comb(code.m, ell)
-        cosets = code.cosets[start:stop].reshape(stop - start, -1, 1 << ell)
-        votes = working[cosets].sum(axis=2) & 1
-        msg[start:stop] = 2 * votes.sum(axis=1) > votes.shape[1]
-        working ^= msg[start:stop] @ code.evaluations[start:stop] & 1
+    for table in reversed(code.layers):
+        start = stop - table.shape[1]
+        votes = np.bitwise_xor.reduce(np.take(working, table, axis=-1), axis=-3)
+        layer = (2 * votes.sum(axis=-1) > table.shape[2]).astype(np.uint8)
+        msg[..., start:stop] = layer
+        # subtract the layer: XOR-fold its monomials' evaluation rows
+        terms = layer[..., :, None] & code.evaluations[start:stop]
+        working ^= np.bitwise_xor.reduce(terms, axis=-2)
         stop = start
     # accept only strictly within half distance: residual < 2^(m-r)/2
-    if 2 * working.sum() >= 1 << (code.m - code.r):
-        return FAIL
-    return Decoded(tuple((received ^ working).tolist()), tuple(msg.tolist()))
+    ok = 2 * working.sum(axis=-1) < 1 << (code.m - code.r)
+    return received ^ working, msg, ok
+
+
+def reed_decode(code: RMCode, w: Sequence[int]) -> DecodeOutcome:
+    """Majority-logic decoding of one word on the per-degree vote tables
+    (RMCode.layers): reed_majority of w, as a Decoded codeword or FAIL."""
+    c, msg, ok = reed_majority(code, w)
+    if ok:
+        return Decoded(tuple(c.tolist()), tuple(msg.tolist()))
+    return FAIL
 
 
 @lru_cache(maxsize=None)
@@ -181,24 +224,33 @@ def build_punctured_rm(r: int, m: int) -> PuncturedRMCode:
     return PuncturedRMCode(full, cyc)
 
 
-def _decode_lift(
-    pcode: PuncturedRMCode, w: Sequence[int], zero_value: int, radius: Fraction | int
-) -> DecodeOutcome:
-    """Lift w to full length with zero_value at the zero point, decode it
-    with reed_decode, and puncture the answer; it counts only strictly
-    within radius of w."""
+def _decode_lifts(
+    pcode: PuncturedRMCode,
+    w: Sequence[int],
+    zero_values: tuple[int, ...],
+    radius: Fraction | int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lift w to full length once per zero-point value, decode the lifts
+    with one reed_majority call, and puncture the answers.
+
+    Returns the punctured codewords, the messages, and whether each lift
+    decoded to a codeword strictly within radius of w.
+    """
     if len(w) != pcode.n:
         raise ValueError(f"word must have length {pcode.n}")
     w = np.asarray(w, dtype=np.int64)
-    full_w = np.full(pcode.full.n, zero_value, dtype=np.int64)
-    full_w[pcode.ordering] = w & 1
-    out = reed_decode(pcode.full, full_w)
-    if out is FAIL:
-        return FAIL
-    pcw = np.asarray(out.codeword)[pcode.ordering]
-    if int((pcw != w).sum()) < radius:
-        return Decoded(tuple(pcw.tolist()), out.message)
-    return FAIL
+    lifts = np.empty((len(zero_values), pcode.full.n), dtype=np.uint8)
+    lifts[:, 0] = zero_values
+    lifts[:, pcode.ordering] = w & 1
+    cw, msg, ok = reed_majority(pcode.full, lifts)
+    pcw = cw[:, pcode.ordering]
+    # dist < radius in integers: comparing an array with a Fraction is per entry
+    ok &= (pcw != w).sum(axis=1) * radius.denominator < radius.numerator
+    return pcw, msg, ok
+
+
+def _decoded(pcw: np.ndarray, msg: np.ndarray) -> Decoded:
+    return Decoded(tuple(pcw.tolist()), tuple(msg.tolist()))
 
 
 def punctured_rm_decode(
@@ -206,16 +258,15 @@ def punctured_rm_decode(
 ) -> DecodeOutcome:
     """Decode the punctured code by trying both values at the missing point.
 
-    Each lift is decoded with the full-length majority decoder; results whose
-    punctured codeword lies strictly within radius of w are collected, and
-    the answer must be unique to count.
+    Both lifts go through the full-length majority decoder as one 2-row
+    batch; results whose punctured codeword lies strictly within radius of w
+    are collected, and the answer must be unique to count.
     """
-    hits: dict[Word, Decoded] = {}
-    for zero_value in (0, 1):
-        out = _decode_lift(pcode, w, zero_value, radius)
-        if out is not FAIL:
-            hits[out.codeword] = out
-    return next(iter(hits.values())) if len(hits) == 1 else FAIL
+    pcw, msg, ok = _decode_lifts(pcode, w, (0, 1), radius)
+    pcw, msg = pcw[ok], msg[ok]
+    if len(pcw) and (pcw == pcw[0]).all():
+        return _decoded(pcw[0], msg[0])
+    return FAIL
 
 
 def shortened_dual_rm_decode(
@@ -228,7 +279,7 @@ def shortened_dual_rm_decode(
     coefficient (message[0], the coefficient of the empty monomial), and the
     punctured result must lie strictly within radius.
     """
-    out = _decode_lift(pcode, w, 0, radius)
-    if out is FAIL or out.message[0] != 0:
-        return FAIL
-    return out
+    pcw, msg, ok = _decode_lifts(pcode, w, (0,), radius)
+    if ok[0] and msg[0, 0] == 0:
+        return _decoded(pcw[0], msg[0])
+    return FAIL

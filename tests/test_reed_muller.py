@@ -1,10 +1,12 @@
 import hashlib
 import random
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
 
+from dccodes import reed_muller
 from dccodes.code_core import (
     FAIL,
     Decoded,
@@ -19,6 +21,7 @@ from dccodes.reed_muller import (
     punctured_ordering,
     punctured_rm_decode,
     reed_decode,
+    reed_majority,
     rm_code,
     rm_encode,
     shortened_dual_rm_decode,
@@ -156,6 +159,59 @@ def test_reed_decode_matches_nearest_codeword_rm5(r):
             assert 2 * sum(a != b for a, b in zip(out.codeword, w)) < d
 
 
+ALL_RM_UP_TO_8 = [(r, m) for m in range(1, 9) for r in range(m + 1)]
+
+
+@pytest.mark.parametrize("r,m", ALL_RM_UP_TO_8)
+def test_layer_tables(r, m):
+    code = rm_code(r, m)
+    assert len(code.layers) == r + 1
+    start = 0
+    for ell, table in enumerate(code.layers):
+        count = comb(m, ell)
+        assert table.shape == (1 << ell, count, 1 << (m - ell))
+        for j in range(count):
+            # the cosets of each monomial's subcube partition the points
+            assert sorted(table[:, j].ravel().tolist()) == list(range(code.n))
+        # each coset holds exactly one point where its monomial is 1
+        own = code.evaluations[start : start + count]
+        rows = own[np.arange(count)[:, None, None], table.transpose(1, 0, 2)]
+        assert (np.bitwise_xor.reduce(rows, axis=1) == 1).all()
+        start += count
+    assert start == code.k
+
+
+@pytest.mark.parametrize("r,m", ALL_RM_UP_TO_8)
+def test_reed_majority_batch_matches_reed_decode(r, m):
+    # weights run from 0 to two past the radius 2^(m-r-1), row by row
+    code = rm_code(r, m)
+    rng = random.Random(f"batch{r}{m}")
+    words = []
+    for errors in range(min(code.n, (1 << (m - r)) // 2 + 2) + 1):
+        w = list(rm_encode(code, [rng.randrange(2) for _ in range(code.k)]))
+        for pos in rng.sample(range(code.n), errors):
+            w[pos] ^= 1
+        words.append(w)
+    words = np.array(words)
+    whole = reed_majority(code, words)
+    for size in (1, 3, 7):
+        starts = range(0, len(words), size)
+        parts = [reed_majority(code, words[i : i + size]) for i in starts]
+        for got, want in zip(whole, zip(*parts)):
+            assert (got == np.concatenate(want)).all()
+    cws, msgs, ok = whole
+    assert cws.shape == words.shape and msgs.shape == (len(words), code.k)
+    for w, cw, msg, accepted in zip(words, cws, msgs, ok):
+        out = reed_decode(code, w)
+        if accepted:
+            assert out == Decoded(tuple(cw.tolist()), tuple(msg.tolist()))
+        else:
+            assert out is FAIL
+    # clean words decode, and some beyond the radius fail unless every word
+    # is a codeword
+    assert ok[0] and (r == m or not ok.all())
+
+
 def test_reed_decode_rejects_wrong_length():
     with pytest.raises(ValueError):
         reed_decode(rm_code(1, 3), (0,) * 7)
@@ -208,6 +264,11 @@ def test_punctured_rm_decode_round_trip():
             out = punctured_rm_decode(pcode, tuple(w), Fraction(3, 2))
             assert isinstance(out, Decoded) and out.codeword == cw
 
+    # an int radius is as strict as a Fraction one
+    one_off = (1 - cw[0],) + cw[1:]
+    assert punctured_rm_decode(pcode, one_off, 1) is FAIL
+    assert punctured_rm_decode(pcode, one_off, 2).codeword == cw
+
     zero = punctured_rm_decode(pcode, (0,) * 15, Fraction(1, 2))
     assert isinstance(zero, Decoded)
     assert zero.codeword == (0,) * 15 and hamming_weight(zero.message) == 0
@@ -239,3 +300,48 @@ def test_shortened_dual_rm_decode():
     # constant coefficient 1 never vanishes at zero: must be rejected
     bad = pcode.puncture(rm_encode(full, (1, 1, 0, 0, 0)))
     assert shortened_dual_rm_decode(pcode, bad, Fraction(7, 2)) is FAIL
+
+
+def test_punctured_rm_decode_decodes_both_lifts_in_one_call(monkeypatch):
+    batches = []
+
+    def counted(code, words):
+        batches.append(np.shape(words))
+        return reed_majority(code, words)
+
+    monkeypatch.setattr(reed_muller, "reed_majority", counted)
+    pcode = build_punctured_rm(2, 5)
+    cw = pcode.puncture(rm_encode(pcode.full, [1] * pcode.full.k))
+    assert punctured_rm_decode(pcode, cw, Fraction(7, 2)).codeword == cw
+    assert batches == [(2, 32)]
+    assert shortened_dual_rm_decode(pcode, cw, Fraction(7, 2)) is FAIL
+    assert batches == [(2, 32), (1, 32)]
+
+
+# sha256 of both stage decoders' outcomes on seeded words, taken before the
+# decoders moved onto reed_majority: three words per error weight 0..radius+2
+# for punctured RM(r, m), m = 4..8 and every r, at radius (2^(m-r) - 1)/2
+PINNED_STAGE_OUTCOMES = "ac6f2208316d82363c71247ec69e9ffb43e7ff7fffec32894093040c8b7ec3f3"
+
+
+def test_stage_decoder_outcomes_pinned():
+    h = hashlib.sha256()
+    fails = [0, 0]
+    for m in range(4, 9):
+        for r in range(1, m):
+            pcode = build_punctured_rm(r, m)
+            radius = Fraction((1 << (m - r)) - 1, 2)
+            rng = random.Random(f"stage{m}{r}")
+            for errors in range(int(radius) + 3):
+                for _ in range(3):
+                    msg = [rng.randrange(2) for _ in range(pcode.full.k)]
+                    w = list(pcode.puncture(rm_encode(pcode.full, msg)))
+                    for pos in rng.sample(range(pcode.n), errors):
+                        w[pos] ^= 1
+                    decoders = (punctured_rm_decode, shortened_dual_rm_decode)
+                    for i, dec in enumerate(decoders):
+                        out = dec(pcode, w, radius)
+                        fails[i] += out is FAIL
+                        h.update(b"F" if out is FAIL else bytes(out.codeword + out.message))
+    assert fails == [89, 501]
+    assert h.hexdigest() == PINNED_STAGE_OUTCOMES
