@@ -30,6 +30,7 @@ from .code_core import (
     bounded_distance_decode,
     brute_force_balanced_profile,
     brute_force_distance,
+    capability,
     dual_basis,
     hamming_distance,
     hamming_weight,
@@ -83,7 +84,6 @@ from .weldon import (
     fold_word,
     lift_word,
     tcirculant_from_sidon_dc,
-    transform_circulant_to_weldon,
     weldon_decode,
     weldon_encode,
     weldon_membership,

@@ -126,12 +126,6 @@ class Polynomial:
             raise ValueError(f"degree too high to pad to length {length}")
         return self.coeffs + (0,) * (length - len(self.coeffs))
 
-    def evaluate(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % self.field.q
-        return acc
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
         a, b = self.coeffs, other.coeffs
@@ -149,17 +143,8 @@ class Polynomial:
             out[i] -= v
         return Polynomial(tuple(out), self.field)
 
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        return poly_mul(self, other)
-
-    def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        return poly_divmod(self, other)
-
     def __mod__(self, other: "Polynomial") -> "Polynomial":
         return poly_divmod(self, other)[1]
-
-    def __floordiv__(self, other: "Polynomial") -> "Polynomial":
-        return poly_divmod(self, other)[0]
 
     def _check(self, other: "Polynomial") -> None:
         if self.field != other.field:
@@ -332,20 +317,6 @@ def poly_irreducible(f: Polynomial) -> bool:
     return True
 
 
-def multiplicative_order(a: int, n: int) -> int:
-    """Order of a in the multiplicative group mod n; requires gcd(a, n) = 1."""
-    if n < 2:
-        raise ValueError("modulus must be at least 2")
-    if math.gcd(a, n) != 1:
-        raise ValueError(f"{a} is not a unit mod {n}")
-    v = a % n
-    order = 1
-    while v != 1:
-        v = v * a % n
-        order += 1
-    return order
-
-
 def is_primitive_root(q: int, k: int) -> bool:
     """Whether q generates the multiplicative group mod the prime k."""
     if not is_prime(k):
@@ -454,9 +425,6 @@ class BinaryExtensionField:
 
     def mul(self, a: int, b: int) -> int:
         return _gf2m_mul(self.m, self._mod_int, a, b)
-
-    def pow(self, a: int, e: int) -> int:
-        return _gf2m_pow(self.m, self._mod_int, a, e)
 
     def element_order(self, a: int) -> int:
         return _gf2m_order(self.m, self._mod_int, a)

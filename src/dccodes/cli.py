@@ -26,6 +26,7 @@ from .code_core import (
     OracleBudgetExceeded,
     brute_force_balanced_profile,
     brute_force_distance,
+    capability,
     hamming_distance,
 )
 from .cyc_dc import build_rm_dual_dc, cyc_dc_decode, cyc_dc_encode
@@ -451,7 +452,7 @@ def _cmd_bench(args) -> int:
     if loaded is None:
         return 1
     rng = random.Random(args.seed)
-    weight = (loaded.radius.numerator - 1) // loaded.radius.denominator
+    weight = capability(loaded.radius)
     enc_time = 0.0
     dec_time = 0.0
     for _ in range(args.trials):

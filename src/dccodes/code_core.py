@@ -182,6 +182,12 @@ class GeneratorMatrixCode:
         return f"GeneratorMatrixCode(q={self.q}, n={self.n}, k={self.k})"
 
 
+def capability(radius: Fraction | int) -> int:
+    """Largest error count strictly below radius, ceil(radius) - 1, in integers."""
+    r = Fraction(radius)
+    return (r.numerator - 1) // r.denominator
+
+
 def hamming_weight(w: Sequence[int]) -> int:
     return sum(1 for v in w if v)
 
@@ -410,8 +416,7 @@ def bounded_distance_decode(
     is streamed in chunks of PATTERN_CHUNK patterns, whose syndromes are
     the syndrome of w minus the matching columns of the parity check.
     """
-    r = Fraction(radius)
-    max_wt = (r.numerator - 1) // r.denominator
+    max_wt = capability(radius)
     if max_wt < 0:
         return FAIL
     if len(w) != code.n:

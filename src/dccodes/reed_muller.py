@@ -65,9 +65,11 @@ class RMCode:
         """k x n 0/1 table whose row j is monomial j's evaluation vector.
 
         The only place the rule "T is 1 at point i iff T & i == T" is applied.
+        Operands are uint16 (m <= 16) and the bool result is viewed as uint8,
+        so the only k x n temporaries are one byte or two per entry.
         """
-        t = np.array(self.monomials)[:, None]
-        return ((t & np.arange(self.n)) == t).astype(np.uint8)
+        t = np.array(self.monomials, dtype=np.uint16)[:, None]
+        return ((t & np.arange(self.n, dtype=np.uint16)) == t).view(np.uint8)
 
     @cached_property
     def layers(self) -> tuple[np.ndarray, ...]:

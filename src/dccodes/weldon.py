@@ -9,11 +9,12 @@ project onto codewords of the target by folding out the top coefficient of
 each block, and that projection cannot decrease balanced weight, which is
 how the circulant code's balanced parameter becomes the target's distance.
 
-The same fold computes the target code. Reduction mod p_k is a ring map and
-p_k divides x^k - 1, so alpha_i*m = fold(A_i*(m, 0)), where A_i is the k x k
-circulant of the lift (alpha_i, 0): encoding, membership and the generator
-are one CirculantMatrix.act per block on the shared identity-over-circulants
-core, followed by a fold, with no quotient-ring product.
+The target code is a view of its source, not a second code. Reduction mod
+p_k is a ring map and p_k divides x^k - 1, so alpha_i*m = fold(A_i*(m, 0)),
+where A_i is the source's own k x k circulant with first column a_i: a_i and
+the lift of its fold agree mod p_k, and the fold reduces mod p_k. Encoding,
+membership and the generator are one CirculantMatrix.act per source block,
+followed by a fold, with no quotient-ring product.
 
 Decoding reverses the projection: every possible folded-out top coefficient
 is tried, each lifted word is decoded in the circulant code, and the first
@@ -26,7 +27,6 @@ radius falls one error short of half the balanced parameter.
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
@@ -46,10 +46,9 @@ from .code_core import (
     GeneratorMatrixCode,
     Word,
     bounded_distance_decode,  # unused here; the benchmark's tracer hooks this name
-    hamming_distance,
+    capability,
 )
 from .design_dc import (
-    CirculantMatrix,
     IdentityOverCirculants,
     SidonDCCode,
     build_sidon_dc,
@@ -81,11 +80,6 @@ class TCirculantCode(IdentityOverCirculants):
         self.decoder = decoder
 
     @cached_property
-    def quotient_field(self) -> QuotientFieldContext:
-        """H = F_q[x]/p_k, built on first use: not every k admits it."""
-        return QuotientFieldContext(self.q, self.k)
-
-    @cached_property
     def alphas(self) -> tuple[tuple[int, ...], ...]:
         """The first columns reduced mod p_k (a fold): the Weldon multipliers."""
         return tuple(fold_word(col, self.q) for col in self.first_columns)
@@ -95,11 +89,6 @@ class TCirculantCode(IdentityOverCirculants):
             f"TCirculantCode(q={self.q}, k={self.k}, t={self.t}, "
             f"balanced_d={self.balanced_d})"
         )
-
-
-def _capability(radius: Fraction) -> int:
-    """Largest error count strictly below radius."""
-    return math.ceil(radius) - 1
 
 
 def flip_one_decode(
@@ -151,7 +140,7 @@ def tcirculant_from_sidon_dc(sdc: SidonDCCode) -> TCirculantCode:
 
     The balanced parameter is the certified min(d/b + 1, k/d), and the
     attached decoder must correct every error count strictly below
-    balanced_d/2. Capabilities are compared as integers, ceil(r) - 1: when
+    balanced_d/2. Capabilities are compared as integers (capability): when
     the majority decoder's radius d/(2b) reaches that many errors (always
     for b=1 and odd d), design_decode is attached. Otherwise its capability
     is exactly one short, since balanced_d/2 <= d/(2b) + 1/2, and
@@ -159,7 +148,7 @@ def tcirculant_from_sidon_dc(sdc: SidonDCCode) -> TCirculantCode:
     """
     target = sdc.balanced_bound / 2
 
-    if _capability(sdc.decode_radius) >= _capability(target):
+    if capability(sdc.decode_radius) >= capability(target):
 
         def decoder(w: Sequence[int]) -> DecodeOutcome:
             return design_decode(sdc, w)
@@ -181,43 +170,40 @@ def tcirculant_from_sidon_dc(sdc: SidonDCCode) -> TCirculantCode:
 class WeldonCode:
     """The code { (m, alpha_1*m, ..., alpha_{t-1}*m) : m in H } over F_q.
 
-    Elements of H are length-(k-1) coefficient tuples; the block length is
-    t*(k-1) and the dimension is k-1. Block i of a codeword is the fold of
-    A_i*(m, 0), with A_i the circulant of the lift (alpha_i, 0).
+    A view of its source circulant code: alpha_i is the fold of the source's
+    i-th first column, and block i of a codeword is the fold of A_i*(m, 0)
+    with A_i the source's i-th circulant. Elements of H are length-(k-1)
+    coefficient tuples; the block length is t*(k-1) and the dimension is k-1.
+    A column may fold to zero (e.g. the all-ones column, a multiple of p_k);
+    that block is degenerate but the code stays well formed, its weight
+    carried by block 0 alone. Building the view rejects a k for which H is
+    not a field.
     """
 
-    def __init__(
-        self,
-        ctx: QuotientFieldContext,
-        t: int,
-        alphas: Sequence[Sequence[int]],
-    ):
-        if t != len(alphas) + 1:
-            raise ValueError("need exactly t-1 multipliers")
-        self.ctx = ctx
-        self.t = t
-        self.alphas = tuple(tuple(int(v) % ctx.q for v in a) for a in alphas)
-        if any(len(a) != ctx.k - 1 for a in self.alphas):
-            raise ValueError(f"multipliers must have length {ctx.k - 1}")
-        self.circulants = tuple(
-            CirculantMatrix(ctx.k, lift_word(a, 0, ctx.q)) for a in self.alphas
-        )
+    def __init__(self, source: TCirculantCode):
+        self.source = source
+        self.ctx = QuotientFieldContext(source.q, source.k)
+        self.alphas = source.alphas
 
     @property
     def q(self) -> int:
-        return self.ctx.q
+        return self.source.q
 
     @property
     def k(self) -> int:
-        return self.ctx.k
+        return self.source.k
+
+    @property
+    def t(self) -> int:
+        return self.source.t
 
     @property
     def n(self) -> int:
-        return self.t * (self.ctx.k - 1)
+        return self.t * (self.k - 1)
 
     @property
     def dimension(self) -> int:
-        return self.ctx.k - 1
+        return self.k - 1
 
     def fold_encode(self, m: np.ndarray) -> np.ndarray:
         """(m, fold(A_1*(m, 0)), ..., fold(A_(t-1)*(m, 0))) as an int64 array.
@@ -225,7 +211,9 @@ class WeldonCode:
         m is a message, or an (N, k-1) array of them, with entries in [0, q).
         """
         lifted = lift_word(m, 0, self.q)
-        blocks = [fold_word(a.act(lifted, self.q), self.q) for a in self.circulants]
+        blocks = [
+            fold_word(a.act(lifted, self.q), self.q) for a in self.source.circulants
+        ]
         return np.concatenate([m, *blocks], axis=-1)
 
     @cached_property
@@ -236,16 +224,6 @@ class WeldonCode:
 
     def __repr__(self) -> str:
         return f"WeldonCode(q={self.q}, k={self.k}, t={self.t})"
-
-
-def transform_circulant_to_weldon(d: TCirculantCode) -> WeldonCode:
-    """Map circulant first columns to their images in H = F_q[x]/p_k.
-
-    A column may reduce to zero (e.g. the all-ones column, a multiple of
-    p_k); the resulting block is degenerate but the code stays well formed,
-    its weight carried by block 0 alone.
-    """
-    return WeldonCode(d.quotient_field, d.t, d.alphas)
 
 
 def weldon_encode(w: WeldonCode, m: Sequence[int]) -> Word:
@@ -298,8 +276,9 @@ def weldon_decode(
     For each tuple (beta_1, ..., beta_{t-1}), lift block 0 with 0 and block i
     with beta_i, decode the lift in the circulant code, fold the result back
     down, and accept the first fold that is a member strictly within
-    balanced_d/2 of the input. When trace is a list, every beta attempt is
-    appended as (betas, success).
+    balanced_d/2 of the input. The circulant decoder gets int64 arrays;
+    tuples are made only for the Decoded returned. When trace is a list,
+    every beta attempt is appended as (betas, success).
     """
     if (w.q, w.k, w.t) != (d.q, d.k, d.t):
         raise ValueError("Weldon code and circulant code parameters differ")
@@ -309,23 +288,26 @@ def weldon_decode(
     if len(word) != w.t * blk:
         raise ValueError(f"word must have length {w.t * blk}")
     q = w.q
-    blocks = np.asarray(word, dtype=np.int64).reshape(w.t, blk)
+    arr = np.asarray(word, dtype=np.int64)
+    blocks = arr.reshape(w.t, blk)
     radius = d.balanced_d / 2
     for betas in itertools.product(range(q), repeat=w.t - 1):
         lifted = lift_word(blocks, np.array((0,) + betas)[:, None], q)
-        out = d.decoder(tuple(lifted.ravel().tolist()))
+        out = d.decoder(lifted.ravel())
         if out is not FAIL:
             c_blocks = np.asarray(out.codeword, dtype=np.int64).reshape(w.t, w.k)
             # block 0 is truncated, not folded: its lift appended a 0
             folded = [c_blocks[0, :-1], fold_word(c_blocks[1:], q).ravel()]
-            candidate = tuple(np.concatenate(folded).tolist())
+            candidate = np.concatenate(folded)
+            dist = np.count_nonzero(candidate != arr)
             if (
                 weldon_membership(w, candidate)
-                and Fraction(hamming_distance(candidate, word)) < radius
+                and dist * radius.denominator < radius.numerator
             ):
                 if trace is not None:
                     trace.append((betas, True))
-                return Decoded(candidate, candidate[:blk])
+                c = tuple(candidate.tolist())
+                return Decoded(c, c[:blk])
         if trace is not None:
             trace.append((betas, False))
     return FAIL
@@ -347,4 +329,4 @@ def build_wozencraft(
         s = SidonSet(tuple(sorted(int(v) for v in sidon_elements)), k)
     sdc = build_sidon_dc(q, k, s)
     d = tcirculant_from_sidon_dc(sdc)
-    return transform_circulant_to_weldon(d), d
+    return WeldonCode(d), d

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -14,6 +15,7 @@ from dccodes.code_core import (
     bounded_distance_decode,
     brute_force_balanced_profile,
     brute_force_distance,
+    capability,
     dual_basis,
     hamming_distance,
     hamming_weight,
@@ -235,6 +237,16 @@ def test_oracle_budget_enforced(monkeypatch):
     monkeypatch.setenv("ORACLE_BUDGET", "not-a-number")
     with pytest.raises(ValueError):
         brute_force_distance(code)
+
+
+def test_capability_is_ceil_minus_one():
+    # largest error count strictly below radius, including radii <= 0
+    for num in range(-13, 14):
+        for den in range(1, 7):
+            r = Fraction(num, den)
+            assert capability(r) == math.ceil(r) - 1
+            assert capability(r) < r <= capability(r) + 1
+    assert capability(3) == 2 and capability(0) == -1
 
 
 def test_bounded_distance_decode_repetition():

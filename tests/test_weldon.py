@@ -23,12 +23,12 @@ from dccodes.design_dc import build_sidon_dc, dc_encode
 from dccodes.sidon import sidon_for_length
 from dccodes.weldon import (
     TCirculantCode,
+    WeldonCode,
     build_wozencraft,
     fold_word,
     lift_word,
     flip_one_decode,
     tcirculant_from_sidon_dc,
-    transform_circulant_to_weldon,
     weldon_decode,
     weldon_encode,
     weldon_membership,
@@ -54,11 +54,12 @@ def test_transform_examples():
     assert W1.alphas == ((1, 1),)
     assert W1.t == 2 and W1.dimension == 2 and W1.n == 4
     assert W19.dimension == 18 and W19.n == 36
+    assert W19.source is D19
     assert D19.balanced_d == Fraction(5, 2)
 
     # an all-ones column reduces to zero: degenerate but legal
     ones = TCirculantCode(2, 3, [(1, 1, 1)], Fraction(3, 2), lambda w: FAIL)
-    degenerate = transform_circulant_to_weldon(ones)
+    degenerate = WeldonCode(ones)
     assert degenerate.alphas == ((0, 0),)
     assert weldon_encode(degenerate, (1, 0)) == (1, 0, 0, 0)
 
@@ -130,7 +131,14 @@ def test_encode_matches_quotient_ring_product():
     # the fold of A_i*(m, 0) is the product alpha_i*m in H, computed here by
     # the reference arithmetic in algebra
     rng = random.Random(644)
-    for q, k, sidon in ((2, 19, (1, 8, 14)), (2, 59, None), (3, 7, (0, 1, 3))):
+    # (1, 8, 18) puts a 1 at the top of the column, so the source's column
+    # and the lift of its fold differ
+    for q, k, sidon in (
+        (2, 19, (1, 8, 14)),
+        (2, 19, (1, 8, 18)),
+        (2, 59, None),
+        (3, 7, (0, 1, 3)),
+    ):
         w, _ = build_wozencraft(q, k, sidon)
         for _ in range(20):
             m = tuple(rng.randrange(q) for _ in range(w.dimension))
@@ -143,7 +151,7 @@ def test_encode_matches_quotient_ring_product():
         ctx = QuotientFieldContext(q, k)
         cols = [[rng.randrange(q) for _ in range(k - 1)] + [1] for _ in range(2)]
         d = TCirculantCode(q, k, cols, Fraction(1), lambda word: FAIL)
-        w = transform_circulant_to_weldon(d)
+        w = WeldonCode(d)
         assert all(sum(a) for a in w.alphas)
         for _ in range(20):
             m = tuple(rng.randrange(q) for _ in range(k - 1))
@@ -291,17 +299,19 @@ def test_build_wozencraft_validation():
         build_wozencraft(2, 3)  # no room for a default Sidon set
     w, d = build_wozencraft(2, 11)
     assert w.k == 11 and d.t == 2
-    assert w.alphas == transform_circulant_to_weldon(d).alphas
+    assert w.alphas == WeldonCode(d).alphas
 
 
 # (q, k, Sidon set or None for the default); in the gap instances the
-# majority decoder corrects one error fewer than half the balanced parameter
+# majority decoder corrects one error fewer than half the balanced parameter.
+# (0, 1, 6) has a nonzero top coefficient, so its fold is not its column.
 GAP_INSTANCES = (
     (2, 11, None),
     (2, 13, None),
     (2, 19, (1, 8, 14)),
     (3, 5, (0, 1)),
     (5, 7, (0, 1)),
+    (3, 7, (0, 1, 6)),
 )
 NON_GAP_INSTANCES = ((2, 29, None), (3, 7, (0, 1, 3)))
 
