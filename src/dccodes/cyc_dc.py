@@ -10,13 +10,14 @@ is one product with the check polynomial h (CyclicCode.quotient), on the same
 circulant kernel as encoding.
 
 The shipped instantiation takes the base code to be the dual of a punctured
-Reed-Muller code, with majority-logic decoders on both sides.
+Reed-Muller code, read off the shortened rows of the other punctured code,
+and CyclicDCCode holds majority-logic stage decoders for both sides.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .code_core import (
     balanced_weight,
     iter_codewords,
 )
-from .cyclic import CyclicCode, dual_code
+from .cyclic import CyclicCode
 from .design_dc import IdentityOverCirculants
 from .reed_muller import (
     build_punctured_rm,
@@ -40,26 +41,39 @@ from .reed_muller import (
     shortened_dual_rm_decode,
 )
 
+# A stage decoder receives a word (any int sequence; cyc_dc_decode passes
+# int64 arrays) and a strict rational radius and returns Decoded or FAIL. The
+# radius is the caller's promise about the error weight.
+CyclicDecoder = Callable[[Sequence[int], Fraction], DecodeOutcome]
+
 
 class CyclicDCCode(IdentityOverCirculants):
     """Identity-over-circulant code whose circulant column is g's coefficients.
 
     d and d_perp are certified distance parameters of the base code and its
-    dual; the composed decoder corrects strictly below min(d, d_perp)/2
-    errors and its final check uses exactly that radius.
+    dual, which decoder and dual_decoder decode; the composed decoder corrects
+    strictly below min(d, d_perp)/2 errors and its final check uses exactly
+    that radius.
     """
 
-    def __init__(self, base: CyclicCode, d: int, d_perp: int):
-        if base.decoder is None or base.dual_decoder is None:
-            raise ValueError(
-                "base cyclic code needs both a decoder and a dual decoder"
-            )
+    def __init__(
+        self,
+        base: CyclicCode,
+        d: int,
+        d_perp: int,
+        decoder: Optional[CyclicDecoder],
+        dual_decoder: Optional[CyclicDecoder],
+    ):
+        if decoder is None or dual_decoder is None:
+            raise ValueError("need both a base decoder and a dual decoder")
         if d < 1 or d_perp < 1:
             raise ValueError("distance parameters must be positive")
         super().__init__(base.q, base.n, [base.g.padded(base.n)])
         self.base = base
         self.d = d
         self.d_perp = d_perp
+        self.decoder = decoder
+        self.dual_decoder = dual_decoder
         self.circulant = self.circulants[0]
         self.a = self.circulant.first_column
 
@@ -102,7 +116,7 @@ def cyc_dc_decode(code: CyclicDCCode, w: Sequence[int]) -> DecodeOutcome:
     reduced = reduce_mod(raw, q)
     w0, w1 = reduced[:k], reduced[k:]
 
-    out1 = code.base.decoder(w1, Fraction(code.d, 2))
+    out1 = code.decoder(w1, Fraction(code.d, 2))
     if out1 is FAIL:
         return FAIL
     r = code.base.quotient(out1.codeword)
@@ -110,7 +124,7 @@ def cyc_dc_decode(code: CyclicDCCode, w: Sequence[int]) -> DecodeOutcome:
         return FAIL
 
     shifted = reduce_mod(w0 - r, q)[::-1]
-    out0 = code.base.dual_decoder(shifted, Fraction(code.d_perp, 2))
+    out0 = code.dual_decoder(shifted, Fraction(code.d_perp, 2))
     if out0 is FAIL:
         return FAIL
 
@@ -137,8 +151,9 @@ def build_rm_dual_dc(m: int, r: int | None = None) -> CyclicDCCode:
 
     Defaults to r = m // 2. The dual of the punctured RM(r, m) code is the
     set of punctured RM(m-r-1, m) codewords vanishing at the omitted zero
-    point, so both the code and its dual have majority-logic decoders:
-    d = 2^(r+1) - 1 and d_perp = 2^(m-r) - 1 are the certified parameters.
+    point (PuncturedRMCode.shortened), so both the code and its dual have
+    majority-logic decoders: d = 2^(r+1) - 1 and d_perp = 2^(m-r) - 1 are
+    the certified parameters.
     """
     if r is None:
         r = m // 2
@@ -146,7 +161,6 @@ def build_rm_dual_dc(m: int, r: int | None = None) -> CyclicDCCode:
         raise ValueError("need 1 <= r <= m-2 so both sides decode")
     prm = build_punctured_rm(r, m)
     dual_prm = build_punctured_rm(m - r - 1, m)
-    base = dual_code(prm.cyclic)
 
     def dec(word: Sequence[int], radius: Fraction) -> DecodeOutcome:
         return shortened_dual_rm_decode(dual_prm, word, radius)
@@ -154,7 +168,6 @@ def build_rm_dual_dc(m: int, r: int | None = None) -> CyclicDCCode:
     def dec_perp(word: Sequence[int], radius: Fraction) -> DecodeOutcome:
         return punctured_rm_decode(prm, word, radius)
 
-    base = base.with_decoders(dec, dec_perp)
     d = (1 << (r + 1)) - 1
     d_perp = (1 << (m - r)) - 1
-    return CyclicDCCode(base, d, d_perp)
+    return CyclicDCCode(dual_prm.shortened, d, d_perp, dec, dec_perp)

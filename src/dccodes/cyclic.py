@@ -3,18 +3,15 @@
 A cyclic code of length n over F_q is an ideal of F_q[x]/(x^n - 1) and is
 determined by its unique monic generator g dividing x^n - 1. The dual is
 again cyclic, generated by the coefficient reversal of the check polynomial
-h = (x^n - 1)/g. Codes may carry decoder plug-ins so downstream
-constructions can compose them without knowing how they decode.
+h = (x^n - 1)/g.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -27,12 +24,7 @@ from .algebra import (
     poly_reverse,
     reduce_mod,
 )
-from .code_core import DecodeOutcome, GeneratorMatrixCode, _rref
-
-# A decoder plug-in receives a word (any int sequence; cyc_dc_decode passes
-# int64 arrays) and a strict rational radius and returns Decoded or FAIL. The
-# radius is the caller's promise about the error weight.
-CyclicDecoder = Callable[[Sequence[int], Fraction], DecodeOutcome]
+from .code_core import GeneratorMatrixCode, _rref
 
 
 def _x_n_minus_1(field: PrimeField, n: int) -> Polynomial:
@@ -43,21 +35,13 @@ def _x_n_minus_1(field: PrimeField, n: int) -> Polynomial:
 class CyclicCode:
     """Length-n cyclic code over F_q with monic generator g | x^n - 1.
 
-    h is derived at construction and satisfies g*h = x^n - 1. The optional
-    decoder/dual_decoder fields decode this code and its dual respectively;
-    they do not participate in equality.
+    h is derived at construction and satisfies g*h = x^n - 1.
     """
 
     q: int
     n: int
     g: Polynomial
     h: Polynomial = dc_field(init=False)
-    decoder: Optional[CyclicDecoder] = dc_field(
-        default=None, compare=False, repr=False
-    )
-    dual_decoder: Optional[CyclicDecoder] = dc_field(
-        default=None, compare=False, repr=False
-    )
 
     def __post_init__(self) -> None:
         field = PrimeField(self.q)
@@ -104,15 +88,6 @@ class CyclicCode:
         prod = circulant_product(self.h.terms, padded, q)
         r = prod[n:]
         return None if reduce_mod(prod[:n] + r, q).any() else r
-
-    def with_decoders(
-        self,
-        decoder: Optional[CyclicDecoder],
-        dual_decoder: Optional[CyclicDecoder],
-    ) -> "CyclicCode":
-        return dataclasses.replace(
-            self, decoder=decoder, dual_decoder=dual_decoder
-        )
 
 
 def dual_code(c: CyclicCode) -> CyclicCode:

@@ -15,8 +15,8 @@ or a batch (reed_majority).
 
 Removing the zero point and ordering the remaining points along powers of a
 multiplicative generator of GF(2^m) turns RM(r, m) into a cyclic code. That
-punctured view, and a decoder for it, is what the double-circulant
-construction downstream consumes.
+punctured view, its shortened cyclic code, and decoders for both are what
+the double-circulant construction downstream consumes.
 """
 
 from __future__ import annotations
@@ -191,13 +191,26 @@ def punctured_ordering(m: int) -> tuple[int, ...]:
 class PuncturedRMCode:
     """RM(r, m) with the zero point removed, in generator-power point order."""
 
-    def __init__(self, full: RMCode, cyclic: CyclicCode):
+    def __init__(self, full: RMCode):
         self.r = full.r
         self.m = full.m
         self.n = full.n - 1
         self.ordering = np.array(punctured_ordering(full.m))
         self.full = full
-        self.cyclic = cyclic
+
+    @cached_property
+    def shortened(self) -> CyclicCode:
+        """The cyclic code of punctured codewords that vanish at the zero point,
+        i.e. the dual of punctured RM(m-r-1, m), spanned by the nonconstant
+        monomials' rows. A span not closed under shift raises in
+        generator_from_spanning_set, and a rank drop raises here.
+        """
+        code = generator_from_spanning_set(
+            2, self.n, self.full.evaluations[1:, self.ordering]
+        )
+        if code.k != self.full.k - 1:
+            raise ValueError(f"shortening RM*({self.r}, {self.m}) drops its rank")
+        return code
 
     def puncture(self, full_word: Sequence[int]) -> Word:
         return tuple(np.asarray(full_word)[self.ordering].tolist())
@@ -208,22 +221,12 @@ class PuncturedRMCode:
 
 @lru_cache(maxsize=None)
 def build_punctured_rm(r: int, m: int) -> PuncturedRMCode:
-    """Punctured RM(r, m); requires 1 <= r < m <= 12.
-
-    Both failure modes that would falsify the cyclic-structure claim are
-    fatal: a shift-closure failure raises in generator_from_spanning_set,
-    and a rank drop under puncturing raises here.
-    """
+    """Punctured RM(r, m); requires 1 <= r < m <= 12."""
     if not 1 <= r < m:
         raise ValueError("need 1 <= r < m")
     if m > 12:
         raise ValueError("m must be at most 12")
-    full = rm_code(r, m)
-    pcols = full.evaluations[:, punctured_ordering(m)]
-    cyc = generator_from_spanning_set(2, (1 << m) - 1, pcols)
-    if cyc.k != full.k:
-        raise ValueError(f"puncturing RM({r}, {m}) drops its rank")
-    return PuncturedRMCode(full, cyc)
+    return PuncturedRMCode(rm_code(r, m))
 
 
 def _decode_lifts(

@@ -35,7 +35,8 @@ from .code_core import (
     is_codeword,
     iter_codewords,
 )
-from .cyclic import dual_code, enumerate_cyclic_codes, max_irreducible_factor_degree
+from .cyclic import dual_code, enumerate_cyclic_codes, generator_from_spanning_set
+from .cyclic import max_irreducible_factor_degree
 from .cyc_dc import build_rm_dual_dc, cyc_dc_decode, cyc_dc_encode, d_balanced_check
 from .design_dc import (
     CirculantMatrix,
@@ -163,8 +164,12 @@ def _crit_reed_decoder() -> str:
 
 def _crit_punctured_cyclicity() -> str:
     for r, m in [(1, 3), (2, 4), (1, 4)]:
-        pcode = build_punctured_rm(r, m)  # raises if shift closure fails
-        code = GeneratorMatrixCode(2, pcode.full.evaluations[:, pcode.ordering])
+        pcode = build_punctured_rm(r, m)
+        rows = pcode.full.evaluations[:, pcode.ordering]
+        # both raise if the span of their rows is not closed under shift
+        cyclic = generator_from_spanning_set(2, pcode.n, rows)
+        assert cyclic.k == pcode.shortened.k + 1 == pcode.full.k, f"RM*({r},{m}) rank"
+        code = GeneratorMatrixCode(2, rows)
         for col in code.columns:
             shifted = tuple(np.roll(np.array(col), 1))
             assert is_codeword(code, shifted), f"RM*({r},{m}) not cyclic"

@@ -22,14 +22,20 @@ from dccodes.cyc_dc import (
     cyc_dc_encode,
     d_balanced_check,
 )
-from dccodes.cyclic import CyclicCode, dual_code, enumerate_cyclic_codes
+from dccodes.cyclic import (
+    CyclicCode,
+    dual_code,
+    enumerate_cyclic_codes,
+    generator_from_spanning_set,
+)
+from dccodes.reed_muller import punctured_ordering, rm_code
 
 F2 = PrimeField(2)
 
 RM_DC = build_rm_dual_dc(4)
 
 
-def _toy_base():
+def _toy_code(d=3, d_perp=2):
     """Repetition-code base with brute-force decoders on both sides."""
     rep = CyclicCode(2, 3, Polynomial((1, 1, 1), F2))
     par = dual_code(rep)
@@ -40,7 +46,7 @@ def _toy_base():
     def dec_perp(w, radius):
         return bounded_distance_decode(par.generator_code, w, radius)
 
-    return rep.with_decoders(dec, dec_perp)
+    return CyclicDCCode(rep, d, d_perp, dec, dec_perp)
 
 
 def test_build_rm_dual_dc_parameters():
@@ -56,17 +62,31 @@ def test_build_rm_dual_dc_parameters():
 
 
 def test_build_cyclic_dc_toy_base():
-    code = CyclicDCCode(_toy_base(), 3, 2)
+    code = _toy_code()
     assert code.k == 3 and code.n == 6
     assert code.a == (1, 1, 1)
     assert code.circulant.column(0) == (1, 1, 1)
     assert code.d_prime == 2
 
-    undecorated = CyclicCode(2, 3, Polynomial((1, 1, 1), F2))
     with pytest.raises(ValueError):
-        CyclicDCCode(undecorated, 3, 2)
+        CyclicDCCode(code.base, 3, 2, None, None)
     with pytest.raises(ValueError):
-        CyclicDCCode(_toy_base(), 0, 2)
+        CyclicDCCode(code.base, 3, 2, code.decoder, None)
+    with pytest.raises(ValueError):
+        _toy_code(d=0)
+
+
+def test_base_is_dual_of_punctured_rm():
+    # the build reads the base off the shortened RM(m-r-1, m) rows; the
+    # reference takes the duality route: row-reduce punctured RM(r, m), dualize
+    cases = [(m, r) for m in range(3, 9) for r in range(1, m - 1)] + [(9, 4)]
+    for m, r in cases:
+        full = rm_code(r, m)
+        n = full.n - 1
+        rows = full.evaluations[:, punctured_ordering(m)]
+        base = build_rm_dual_dc(m, r).base
+        assert base.g == dual_code(generator_from_spanning_set(2, n, rows)).g, (m, r)
+        assert base.k == n - full.k, (m, r)
 
 
 def test_cyc_dc_encode_examples():
@@ -84,7 +104,7 @@ def test_cyc_dc_encode_examples():
 
 
 def test_decode_round_trip_toy():
-    code = CyclicDCCode(_toy_base(), 3, 2)
+    code = _toy_code()
     for idx in range(8):
         m = tuple((idx >> i) & 1 for i in range(3))
         out = cyc_dc_decode(code, cyc_dc_encode(code, m))

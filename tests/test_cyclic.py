@@ -181,9 +181,3 @@ def test_reversal_respects_products():
                 )
                 assert lhs == rhs
 
-
-def test_with_decoders_preserves_identity():
-    parity = CyclicCode(2, 3, Polynomial((1, 1), F2))
-    tagged = parity.with_decoders(lambda w, r: None, None)
-    assert tagged == parity  # decoders do not participate in equality
-    assert tagged.decoder is not None and parity.decoder is None

@@ -16,6 +16,7 @@ from dccodes.code_core import (
     iter_codewords,
     nearest_codeword,
 )
+from dccodes.cyclic import generator_from_spanning_set
 from dccodes.reed_muller import (
     build_punctured_rm,
     punctured_ordering,
@@ -227,14 +228,23 @@ def test_punctured_ordering():
         punctured_ordering(1)
 
 
+def _punctured_cyclic(pcode):
+    rows = pcode.full.evaluations[:, pcode.ordering]
+    return generator_from_spanning_set(2, pcode.n, rows)
+
+
 def test_build_punctured_rm_parameters():
     hamming = build_punctured_rm(1, 3)
-    assert hamming.n == 7 and hamming.cyclic.k == 4
-    assert int(hamming.cyclic.g.degree) == 3
+    cyclic = _punctured_cyclic(hamming)
+    assert hamming.n == 7 and cyclic.k == 4
+    assert int(cyclic.g.degree) == 3
+    assert hamming.shortened.k == 3 and int(hamming.shortened.g.degree) == 4
 
     big = build_punctured_rm(2, 4)
-    assert big.n == 15 and big.cyclic.k == 11
-    assert int(big.cyclic.g.degree) == 4
+    cyclic = _punctured_cyclic(big)
+    assert big.n == 15 and cyclic.k == 11
+    assert int(cyclic.g.degree) == 4
+    assert big.shortened.k == 10 and int(big.shortened.g.degree) == 5
 
     with pytest.raises(ValueError):
         build_punctured_rm(0, 3)
@@ -246,8 +256,12 @@ def test_punctured_cyclic_codewords_agree():
     pcode = build_punctured_rm(1, 3)
     code = GeneratorMatrixCode(2, pcode.full.evaluations[:, pcode.ordering])
     as_matrix = {cw for _, cw in iter_codewords(code)}
-    as_cyclic = {cw for _, cw in iter_codewords(pcode.cyclic.generator_code)}
+    as_cyclic = {cw for _, cw in iter_codewords(_punctured_cyclic(pcode).generator_code)}
     assert as_matrix == as_cyclic
+
+    vanishing = {cw for msg, cw in iter_codewords(code) if msg[0] == 0}
+    as_shortened = {cw for _, cw in iter_codewords(pcode.shortened.generator_code)}
+    assert as_shortened == vanishing
 
 
 def test_punctured_rm_decode_round_trip():
