@@ -6,9 +6,13 @@ extension fields GF(2^m) on bitmask ints, and the quotient ring
 F_q[x] / (1 + x + ... + x^(k-1)), which is a field exactly when k is prime
 and q is a primitive root mod k.
 
-circulant_product is the one circulant (cyclic convolution) kernel: the
-circulant blocks of every family, cyclic_mul and the rm-dc division by the
-check polynomial all run on it.
+circulant_product computes every circulant (cyclic convolution) product:
+the circulant blocks of every family, cyclic_mul and the rm-dc division by
+the check polynomial. It has two exact regimes, chosen from the operand's
+shape and the column's term count alone: one numpy slice-add per nonzero
+term, for batches and sparse columns, and one big-integer multiplication
+(Kronecker substitution) for a single vector against a dense column, such
+as the rm-dc generator g and check polynomial h.
 
 The quotient-ring section validates (q, k) and keeps reference arithmetic
 (reduce_mod_pk, quotient_mul) for the tests; the Wozencraft codes compute
@@ -234,17 +238,30 @@ def reduce_mod(x: np.ndarray, q: int) -> np.ndarray:
     return x & 1 if q == 2 else x % q
 
 
-def circulant_product(terms: Sequence[tuple[int, int]], x, q: int) -> np.ndarray:
-    """A*x over F_q, where A is the circulant with first column entry a at
-    row s for each (s, a) in terms, and zero elsewhere.
+# Karatsuba's exponent less the slices' linear one; see circulant_product.
+_DENSE_EXPONENT = math.log2(3) - 1
 
-    x is a length-k vector or an (N, k) array of rows, and every s lies in
-    range(k). Returns an int64 array shaped like x, reduced mod q. Entry i is
-    the sum over terms of a * x_(i-s mod k): each term is one slice of x laid
-    twice end to end, added without a multiply when a = 1. So the work is one
-    pass over x per nonzero first-column entry, and working memory stays a
-    few arrays of x's size.
-    """
+# Digit width in bits -> little-endian numpy dtype of one digit. 64-bit
+# digits are read as int64: the bound check keeps every digit below 2^63.
+_DIGIT_DTYPES = {8: "<u1", 16: "<u2", 32: "<u4", 64: "<i8"}
+
+
+def _product_bound(terms: Sequence[tuple[int, int]], q: int) -> int:
+    """(q-1) * sum of the column's entries mod q: the largest value any entry
+    of a product can take before the final reduction. Raises ValueError when
+    it does not fit in int64."""
+    bound = (q - 1) * sum(a % q for _, a in terms)
+    if bound >= 1 << 63:
+        raise ValueError(
+            f"circulant product over F_{q} exceeds int64: (q-1)*sum(a) = {bound}"
+        )
+    return bound
+
+
+def _slice_product(terms: Sequence[tuple[int, int]], x, q: int) -> np.ndarray:
+    """circulant_product by one slice-add of x, laid twice end to end, per term."""
+    if (q - 1) ** 2 * len(terms) >= 1 << 63:  # skips the sum for the usual small q
+        _product_bound(terms, q)
     x = reduce_mod(np.asarray(x, dtype=np.int64), q)
     k = x.shape[-1]
     doubled = np.concatenate([x, x], axis=-1)
@@ -256,6 +273,77 @@ def circulant_product(terms: Sequence[tuple[int, int]], x, q: int) -> np.ndarray
     return reduce_mod(out, q)
 
 
+@lru_cache(maxsize=256)
+def _packed_column(terms: tuple[tuple[int, int], ...], q: int) -> tuple[int, int]:
+    """(w, c): the smallest digit width w in 8/16/32/64 bits that holds every
+    coefficient of a product with this column, and the column packed as the
+    int c whose w-bit digit s is the entry at row s."""
+    bound = _product_bound(terms, q)
+    w = next(w for w in _DIGIT_DTYPES if bound < 1 << w)
+    return w, sum((a % q) << (w * s) for s, a in terms)
+
+
+def _integer_product(terms: Sequence[tuple[int, int]], x, q: int) -> np.ndarray:
+    """circulant_product of one length-k vector by Kronecker substitution.
+
+    x and the column are read as ints with little-endian w-bit digits, so
+    their one product holds the 2k coefficients of the linear product, each
+    below 2^w and so free of carries; folding the top k onto the bottom k
+    gives the cyclic product.
+    """
+    w, column = _packed_column(tuple(terms), q)
+    dtype = _DIGIT_DTYPES[w]
+    x = reduce_mod(np.asarray(x, dtype=np.int64), q)
+    k = x.shape[-1]
+    packed = int.from_bytes(x.astype(dtype).tobytes(), byteorder="little")
+    digits = (packed * column).to_bytes(length=2 * k * w // 8, byteorder="little")
+    linear = np.frombuffer(digits, dtype=dtype).astype(np.int64)
+    return reduce_mod(linear[:k] + linear[k:], q)
+
+
+def circulant_product(terms: Sequence[tuple[int, int]], x, q: int) -> np.ndarray:
+    """A*x over F_q, where A is the circulant with first column entry a at
+    row s for each (s, a) in terms, and zero elsewhere.
+
+    x is a length-k vector or an (N, k) array of rows, and every s lies in
+    range(k). Returns an int64 array shaped like x, reduced mod q. Entry i is
+    the sum over terms of a * x_(i-s mod k), computed exactly in one of two
+    regimes:
+
+    - slices: one pass over x per term, adding the slice of x laid twice end
+      to end that the term selects. It takes batches, and working memory
+      stays a few arrays of x's size.
+    - integer product: a single vector against a column of t >= k^0.585
+      terms (log2(3) - 1, the excess of Karatsuba's exponent over the slices'
+      linear cost) is one multiplication of two Python ints with w-bit
+      digits, w the smallest of 8/16/32/64 that holds (q-1) * sum(a). Each
+      column is packed once (lru_cache).
+
+    Single-vector crossover, q=2, 2-core host, Python 3.11 (slices / integer
+    product; t* is the measured break-even term count):
+
+    ==========================  ======  ===  ========  ========  ====  ======
+    case                          k      t   slices    integer   t*    k^.585
+    ==========================  ======  ===  ========  ========  ====  ======
+    rm-dc m=8 g                   255    80    77 us     15 us   ~16     26
+    rm-dc m=8 h (quotient, 2n)    510    39    39 us     11 us   ~11     38
+    rm-dc m=10 g (16-bit digits) 1023   320   484 us    196 us  ~130     58
+    rm-dc m=10 h (quotient, 2n)  2046   191   341 us    122 us   ~70     86
+    Sidon k=59                     59     5    14 us     10 us    ~3     11
+    Sidon k=242                   242    11    24 us     19 us    ~9     25
+    Sidon k=2000                 2000    31    80 us    249 us   ~96     85
+    ==========================  ======  ===  ========  ========  ====  ======
+
+    Batches stay on slices: on a 538-row k=269 Wozencraft batch (t=11) the
+    slices took 3.9 ms, one integer product per row 7.3 ms. Both regimes
+    check that (q-1) * sum(a) fits in int64 and raise ValueError otherwise.
+    """
+    x = np.asarray(x, dtype=np.int64)
+    if x.ndim == 1 and len(terms) >= x.shape[0] ** _DENSE_EXPONENT:
+        return _integer_product(terms, x, q)
+    return _slice_product(terms, x, q)
+
+
 def cyclic_mul(
     a: Polynomial, m: Polynomial | Sequence[int] | np.ndarray, k: int
 ) -> tuple[int, ...]:
@@ -263,8 +351,7 @@ def cyclic_mul(
 
     m is a Polynomial over a's field, or a coefficient sequence or array of
     length at most k. The product is circulant_product of the circulant whose
-    first column holds the coefficients of a, so it walks only a's nonzero
-    coefficients.
+    first column holds the coefficients of a.
     """
     if isinstance(m, Polynomial):
         a._check(m)

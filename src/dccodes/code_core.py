@@ -19,7 +19,7 @@ from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .algebra import PrimeField
+from .algebra import PrimeField, reduce_mod
 
 Word = tuple[int, ...]
 
@@ -84,42 +84,33 @@ DecodeOutcome = Union[Decoded, _Fail]
 Decoder = Callable[[Sequence[int]], DecodeOutcome]
 
 
-def _rref(mat: np.ndarray, q: int) -> tuple[np.ndarray, list[int], np.ndarray]:
-    """Row-reduce mat mod q.
-
-    Returns (rref, pivot_columns, transform) with transform @ mat == rref
-    (mod q) and transform invertible.
-    """
+def _rref(mat: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
+    """Row-reduce mat mod q. Returns (rref, pivot_columns), rref as int64."""
     rows, cols = mat.shape
-    m = mat.astype(np.int64) % q
-    t = np.eye(rows, dtype=np.int64)
+    # Every intermediate lies in (-(q-1)^2, q^2), so int8 holds them all for
+    # q <= 11, and the row updates, which dominate, move 8x fewer bytes.
+    m = reduce_mod(mat.astype(np.int64), q).astype(np.int8 if q <= 11 else np.int64)
     piv: list[int] = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        pr = None
-        for rr in range(r, rows):
-            if m[rr, c]:
-                pr = rr
-                break
-        if pr is None:
+        below = np.flatnonzero(m[r:, c])
+        if not below.size:
             continue
+        pr = r + int(below[0])
         if pr != r:
             m[[r, pr]] = m[[pr, r]]
-            t[[r, pr]] = t[[pr, r]]
         inv = pow(int(m[r, c]), q - 2, q)
         m[r] = m[r] * inv % q
-        t[r] = t[r] * inv % q
         col = m[:, c].copy()
         col[r] = 0
         nz = np.nonzero(col)[0]
         if nz.size:
-            m[nz] = (m[nz] - np.outer(col[nz], m[r])) % q
-            t[nz] = (t[nz] - np.outer(col[nz], t[r])) % q
+            m[nz] = reduce_mod(m[nz] - np.outer(col[nz], m[r]), q)
         piv.append(c)
         r += 1
-    return m, piv, t
+    return m.astype(np.int64), piv
 
 
 class GeneratorMatrixCode:
@@ -151,11 +142,13 @@ class GeneratorMatrixCode:
         self.columns = cols
         self._gen = np.array(cols, dtype=np.int64).reshape(self.k, n).T
         if self.k:
-            rref, piv, t = _rref(np.array(cols, dtype=np.int64), q)
-            if len(piv) < self.k:
+            # reducing [M | I] leaves T with T @ M == rref(M) in the identity's place
+            mat = np.array(cols, dtype=np.int64)
+            rref, piv = _rref(np.hstack([mat, np.eye(self.k, dtype=np.int64)]), q)
+            if piv[-1] >= n:
                 raise ValueError("generator columns are linearly dependent")
             self._pivots = np.array(piv)
-            self._unencode_t = t.T % q
+            self._unencode_t = rref[:, n:].T
         else:
             self._pivots = np.array([], dtype=np.int64)
             self._unencode_t = np.zeros((0, 0), dtype=np.int64)
@@ -367,7 +360,7 @@ def dual_basis(code: GeneratorMatrixCode) -> GeneratorMatrixCode:
     q = code.q
     n = code.n
     if code.k:
-        rref, piv, _ = _rref(np.array(code.columns, dtype=np.int64), q)
+        rref, piv = _rref(np.array(code.columns, dtype=np.int64), q)
         piv_set = set(piv)
         basis = []
         for f in range(n):

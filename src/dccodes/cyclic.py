@@ -108,12 +108,15 @@ def generator_from_spanning_set(
     generator; a second one checks that adding the shifted basis keeps the
     rank.
     """
-    mat = np.array([[int(v) % q for v in w] for w in words], dtype=np.int64)
-    if mat.ndim != 2 or mat.shape[1] != n:
+    try:
+        mat = np.asarray(words, dtype=np.int64) % q
+    except ValueError:  # ragged rows
+        mat = None
+    if mat is None or mat.ndim != 2 or mat.shape[1] != n:
         raise ValueError(f"words must all have length {n}")
-    rref, piv, _ = _rref(mat[:, ::-1], q)
+    rref, piv = _rref(mat[:, ::-1], q)
     basis = rref[: len(piv)]
-    _, piv2, _ = _rref(np.vstack([basis, np.roll(basis, 1, axis=1)]), q)
+    _, piv2 = _rref(np.vstack([basis, np.roll(basis, 1, axis=1)]), q)
     if len(piv2) != len(piv):
         raise ValueError("span is not closed under cyclic shift")
     field = PrimeField(q)

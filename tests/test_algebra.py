@@ -9,7 +9,10 @@ from dccodes.algebra import (
     Polynomial,
     PrimeField,
     QuotientFieldContext,
+    _integer_product,
+    _slice_product,
     build_gf2m,
+    circulant_product,
     cyclic_mul,
     find_wozencraft_k,
     is_primitive_root,
@@ -186,6 +189,26 @@ def test_cyclic_mul_matches_explicit_circulant_random_f3():
 def test_cyclic_mul_degree_bounds():
     with pytest.raises(ValueError):
         cyclic_mul(P([1, 0, 0, 1], F2), P([1], F2), 3)
+
+
+@pytest.mark.parametrize(
+    "product", [circulant_product, _slice_product, _integer_product],
+    ids=["selected", "slices", "integer"],
+)
+def test_circulant_product_int64_bound(product):
+    # Python-int arithmetic is the reference; a column whose products need
+    # more than int64 is refused, not answered with wrapped symbols
+    q = 2**31 - 1
+    with pytest.raises(ValueError, match="int64"):
+        product(((0, q - 1), (1, q - 1), (2, q - 1)), [q - 1] * 3, q)
+    rng = random.Random(53)
+    for terms in [((0, q - 1), (3, q - 1)), ((1, q - 2), (2, 5), (4, 7))]:
+        # (q-1) * sum(a) is below 2^63, so 64-bit digits hold every entry
+        assert (q - 1) * sum(a for _, a in terms) < 2**63
+        for _ in range(5):
+            x = [rng.randrange(-q, 2 * q) for _ in range(5)]
+            want = [sum(a * x[(i - s) % 5] for s, a in terms) % q for i in range(5)]
+            assert product(terms, x, q).tolist() == want
 
 
 def test_reduce_mod_pk_examples():

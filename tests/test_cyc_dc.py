@@ -202,6 +202,36 @@ def test_stage_one_answer_outside_base_code_fails(monkeypatch):
         assert cyc_dc_decode(code, cyc_dc_encode(code, m)) is FAIL
 
 
+def test_faulty_stage_two_is_caught_by_the_final_check(monkeypatch):
+    # a stage-2 decoder that flips one bit of its answer: the message it
+    # implies is wrong, so only the final re-encode and radius check stand
+    # between that answer and the caller
+    real = cyc_dc.punctured_rm_decode
+
+    def flipped(pcode, word, radius):
+        out = real(pcode, word, radius)
+        if out is FAIL:
+            return out
+        return Decoded((1 - out.codeword[0],) + out.codeword[1:], out.message)
+
+    code = build_rm_dual_dc(5)
+    t = (code.d_prime - 1) // 2
+    rng = random.Random(571)
+    words = []
+    for weight in [*range(t + 1), t + 1, t + 3] * 4:
+        w = list(cyc_dc_encode(code, [rng.randrange(2) for _ in range(code.k)]))
+        for pos in rng.sample(range(2 * code.k), weight):
+            w[pos] ^= 1
+        words.append(tuple(w))
+    monkeypatch.setattr(cyc_dc, "punctured_rm_decode", flipped)
+    outcomes = [cyc_dc_decode(code, w) for w in words]
+    assert FAIL in outcomes
+    for w, out in zip(words, outcomes):
+        if out is not FAIL:
+            assert out.codeword == cyc_dc_encode(code, out.message)
+            assert 2 * hamming_distance(out.codeword, w) < code.d_prime
+
+
 @pytest.mark.parametrize(
     "bases",
     [[RM_DC.base], [build_rm_dual_dc(8).base], enumerate_cyclic_codes(3, 8)],

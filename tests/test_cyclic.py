@@ -97,6 +97,8 @@ def test_generator_from_spanning_set():
         generator_from_spanning_set(2, 3, [(1, 1, 0)])  # not shift-closed
     with pytest.raises(ValueError):
         generator_from_spanning_set(2, 3, [(1, 1, 0, 0)])  # wrong length
+    with pytest.raises(ValueError, match="words must all have length 3"):
+        generator_from_spanning_set(2, 3, [(1, 1, 0), (0, 1)])  # ragged
     with pytest.raises(ValueError):
         # least-degree element 1 + x divides x^3 - 1 and has the span's
         # dimension; only the shift-closure check rejects it

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dccodes import code_core, design_dc
+from dccodes import algebra, code_core, design_dc
 from dccodes.algebra import Polynomial, PrimeField, cyclic_mul
 from dccodes.code_core import (
     FAIL,
@@ -64,13 +64,17 @@ def _cyclic_mul_reference(a, m, k, q):
 
 
 # (q, k, kind of first column); "trailing" columns end in zeros, so
-# cyclic_mul's canonical polynomial is shorter than the circulant's column
+# cyclic_mul's canonical polynomial is shorter than the circulant's column.
+# "wide" columns hold 320 terms, as the rm-dc m=10 generator does, so the
+# integer product needs 16-bit digits; dense q=3 and q=5 columns at k=255
+# need them too, and dense q=257 columns need 32-bit digits.
 CIRCULANT_CASES = [
     *((q, k, density) for density in ("dense", "sparse") for k in (1, 2, 7, 18, 242)
       for q in (2, 3, 5)),
     *((q, 2000, "sparse") for q in (2, 3, 5)),
-    *((q, 255, "dense") for q in (2, 3, 5)),
+    *((q, 255, "dense") for q in (2, 3, 5, 257)),
     *((q, k, "trailing") for k in (2, 18, 255) for q in (2, 3, 5)),
+    *((q, 1023, "wide") for q in (2, 3)),
 ]
 
 
@@ -79,9 +83,10 @@ CIRCULANT_CASES = [
 )
 def test_circulant_act_matches_cyclic_mul(q, k, density):
     rng = random.Random(f"{q}-{k}-{density}")
-    if density == "sparse":
+    if density in ("sparse", "wide"):
         first = [0] * k
-        for i in rng.sample(range(k), min(k, math.isqrt(k) + 2)):
+        weight = 320 if density == "wide" else math.isqrt(k) + 2
+        for i in rng.sample(range(k), min(k, weight)):
             first[i] = rng.randrange(1, q)
     else:
         first = [rng.randrange(q) for _ in range(k)]
@@ -103,6 +108,36 @@ def test_circulant_act_matches_cyclic_mul(q, k, density):
     out = a.act(np.array(batch), q)
     assert out.dtype == np.int64 and out.shape == (len(batch), k)
     assert [tuple(r) for r in out.tolist()] == expected
+    # both regimes, whichever one circulant_product picks for this shape
+    for regime in (algebra._slice_product, algebra._integer_product):
+        for row, exp in zip(batch, expected):
+            out = regime(a.terms, row, q)
+            assert out.dtype == np.int64 and tuple(out.tolist()) == exp
+
+
+def test_circulant_product_regime_selection(monkeypatch):
+    # dense columns against one vector take the integer product; batches and
+    # sparse columns take the slices
+    rm8 = build_rm_dual_dc(8)
+    sidon = build_sidon_dc(2, 2000, sidon_for_length(2000))
+    calls = []
+    for name in ("_slice_product", "_integer_product"):
+        real = getattr(algebra, name)
+        monkeypatch.setattr(
+            algebra, name, lambda *a, _r=real, _n=name: calls.append(_n) or _r(*a)
+        )
+    for circulant, x, regime in [
+        (rm8.circulant, np.ones(rm8.k, dtype=np.int64), "_integer_product"),
+        (rm8.circulant, np.ones((2, rm8.k), dtype=np.int64), "_slice_product"),
+        (sidon.circulant, np.ones(sidon.k, dtype=np.int64), "_slice_product"),
+    ]:
+        calls.clear()
+        circulant.act(x, 2)
+        assert calls == [regime]
+    second_block = rm8.encode([1] * rm8.k)[rm8.k :]
+    calls.clear()
+    rm8.base.quotient(second_block)
+    assert calls == ["_integer_product"]
 
 
 # sha256 of the generator columns, one line of digits per column, as the
