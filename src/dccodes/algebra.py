@@ -258,9 +258,18 @@ def _product_bound(terms: Sequence[tuple[int, int]], q: int) -> int:
     return bound
 
 
+@lru_cache(maxsize=256)
+def _dense_terms(k: int) -> float:
+    """k^0.585: the term count from which one length-k vector takes the
+    integer product (cached, as circulant_product asks it on every call)."""
+    return k**_DENSE_EXPONENT
+
+
 def _slice_product(terms: Sequence[tuple[int, int]], x, q: int) -> np.ndarray:
     """circulant_product by one slice-add of x, laid twice end to end, per term."""
-    if (q - 1) ** 2 * len(terms) >= 1 << 63:  # skips the sum for the usual small q
+    # (q-1)^2 * t < 2^63 for every q <= 2^16 and t < 2^31, so the usual
+    # small fields skip the bound's sum
+    if q > 1 << 16 and (q - 1) ** 2 * len(terms) >= 1 << 63:
         _product_bound(terms, q)
     x = reduce_mod(np.asarray(x, dtype=np.int64), q)
     k = x.shape[-1]
@@ -339,7 +348,7 @@ def circulant_product(terms: Sequence[tuple[int, int]], x, q: int) -> np.ndarray
     check that (q-1) * sum(a) fits in int64 and raise ValueError otherwise.
     """
     x = np.asarray(x, dtype=np.int64)
-    if x.ndim == 1 and len(terms) >= x.shape[0] ** _DENSE_EXPONENT:
+    if x.ndim == 1 and len(terms) >= _dense_terms(x.shape[0]):
         return _integer_product(terms, x, q)
     return _slice_product(terms, x, q)
 
