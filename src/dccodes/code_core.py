@@ -4,8 +4,9 @@ Words are plain tuples of ints. The exhaustive scans (distance, balanced
 profile, nearest codeword, bounded-distance error patterns) are
 budget-guarded: anything that would enumerate more than ORACLE_BUDGET
 codewords or patterns raises OracleBudgetExceeded instead of silently
-running forever. Binary codes get a packed-int Gray-code lane;
-other fields use an incremental odometer over numpy states.
+running forever. The codeword scans share one enumeration: blocks of
+codewords in lexicographic message order, each a table of low-digit
+codewords plus one higher-digit codeword, reduced with numpy.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ DEFAULT_ORACLE_BUDGET = 1 << 24
 
 # Error patterns per batch in bounded_distance_decode.
 PATTERN_CHUNK = 1024
+
+# Symbols per codeword block of the exhaustive codeword scans (_codeword_blocks).
+SCAN_BLOCK = 1 << 18
 
 
 class OracleBudgetExceeded(RuntimeError):
@@ -225,44 +229,72 @@ def iter_codewords(
         yield digits, code.encode(digits)
 
 
-def _packed_columns(code: GeneratorMatrixCode) -> list[int]:
-    # Binary codeword as an int, bit i = coordinate i.
-    return [sum(v << i for i, v in enumerate(col)) for col in code.columns]
+def _codeword_blocks(code: GeneratorMatrixCode) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (first message index s, (B, n) codewords) over all q^k messages.
 
-
-def _gray_states(code: GeneratorMatrixCode) -> Iterator[tuple[int, int]]:
-    """Yield (gray_message_int, packed_codeword) for every nonzero message."""
-    pcols = _packed_columns(code)
-    state = 0
-    for t in range(1, 1 << code.k):
-        i = (t & -t).bit_length() - 1
-        state ^= pcols[i]
-        yield t ^ (t >> 1), state
-
-
-def _odometer_states(
-    code: GeneratorMatrixCode,
-) -> Iterator[tuple[list[int], np.ndarray]]:
-    """Yield (message_digits, codeword_state) for every nonzero message.
-
-    Messages run in lexicographic order (last digit fastest); the shared
-    digits list and state array are mutated in place between yields.
+    Row r is the codeword of message s + r, in lexicographic order: a table of
+    low-digit codewords (at most SCAN_BLOCK // n rows, at least one) plus the
+    codeword of message s, reduced as min(x, x - q) in the narrowest unsigned
+    dtype holding 2(q - 1), where x - q wraps above x for x < q. Blocks are
+    column-major, so row counts add whole columns, and share one buffer.
     """
-    q = code.q
-    cols = [np.array(col, dtype=np.int64) for col in code.columns]
-    digits = [0] * code.k
-    state = np.zeros(code.n, dtype=np.int64)
-    for _ in range(q**code.k - 1):
-        i = code.k - 1
-        while digits[i] == q - 1:
-            digits[i] = 0
-            # dropping q-1 copies of a column is the same as adding one copy
-            state += cols[i]
-            i -= 1
-        digits[i] += 1
-        state += cols[i]
-        state %= q
-        yield digits, state
+    q, k, n = code.q, code.k, code.n
+    gen = code._gen.T
+    rows = max(1, SCAN_BLOCK // n)
+    dtype = np.min_scalar_type(2 * (q - 1))
+    table = np.zeros((1, n), dtype=dtype)
+    span = 1  # messages per value of the digits above the table
+    for col in gen[::-1]:  # least significant digit first
+        reps = min(q, rows // span)
+        if reps < 2:
+            break
+        steps = (np.arange(reps)[:, None] * col % q).astype(dtype)
+        table = (steps[:, None] + table).reshape(-1, n)
+        np.minimum(table, table - q, out=table)
+        span *= q
+        if reps < q:
+            break
+    table = np.asfortranarray(table)
+    out, wrapped = np.empty_like(table), np.empty_like(table)
+    size = len(table)
+    for base in range(0, q**k, span):
+        for start in range(base, base + span, size):
+            m = min(size, base + span - start)
+            head = np.array(np.unravel_index(start, (q,) * k), dtype=np.int64) @ gen % q
+            block = np.add(table[:m], head.astype(dtype), out=out[:m])
+            np.minimum(block, np.subtract(block, q, out=wrapped[:m]), out=block)
+            yield start, block
+
+
+def _row_counts(mask: np.ndarray) -> np.ndarray:
+    """True entries per row of a (B, m) bool array, summed in a narrow dtype."""
+    counts = mask.view(np.uint8).sum(axis=1, dtype=np.min_scalar_type(mask.shape[1]))
+    return counts.astype(np.intp)
+
+
+def _balanced_weights(part: np.ndarray, q: int) -> np.ndarray:
+    """balanced_weight of every row of a (B, m) array of symbols.
+
+    A row's most frequent symbol is both a field element and one of its own
+    entries, so rows are counted against the shorter list: min(q - 1, m) passes.
+    """
+    m = part.shape[1]
+    if q - 1 <= m:
+        counts = [_row_counts(part == symbol) for symbol in range(1, q)]
+        counts.append(m - sum(counts))  # the zeros
+    else:
+        counts = [_row_counts(part == part[:, j, None]) for j in range(m)]
+    return m - np.maximum.reduce(counts)
+
+
+def _min_nonzero(code: GeneratorMatrixCode, weigh: Callable) -> int | float:
+    """Minimum of weigh's per-row weights over the nonzero codewords; inf if none."""
+    best: int | float = math.inf
+    for start, block in _codeword_blocks(code):
+        weights = weigh(block)[1 if start == 0 else 0 :]
+        if weights.size:
+            best = min(best, int(weights.min()))
+    return best
 
 
 def brute_force_distance(code: GeneratorMatrixCode) -> int | float:
@@ -270,11 +302,7 @@ def brute_force_distance(code: GeneratorMatrixCode) -> int | float:
     if code.k == 0:
         return math.inf
     _require_budget(code.q**code.k, "distance scan")
-    if code.q == 2:
-        return min(state.bit_count() for _, state in _gray_states(code))
-    return min(
-        int(np.count_nonzero(state)) for _, state in _odometer_states(code)
-    )
+    return _min_nonzero(code, lambda block: _row_counts(block != 0))
 
 
 def brute_force_balanced_profile(code: GeneratorMatrixCode, t: int) -> int | float:
@@ -287,29 +315,12 @@ def brute_force_balanced_profile(code: GeneratorMatrixCode, t: int) -> int | flo
     if code.k == 0:
         return math.inf
     _require_budget(code.q**code.k, "balanced profile scan")
-    blk = code.n // t
-    if code.q == 2:
-        mask = (1 << blk) - 1
-        best = code.n + 1
-        for _, state in _gray_states(code):
-            total = (state & mask).bit_count()
-            for i in range(1, t):
-                ones = (state >> (i * blk) & mask).bit_count()
-                total += min(ones, blk - ones)
-                if total >= best:
-                    break
-            if total < best:
-                best = total
-        return best
-    best = code.n + 1
-    for _, state in _odometer_states(code):
-        total = int(np.count_nonzero(state[:blk]))
-        for i in range(1, t):
-            counts = np.bincount(state[i * blk : (i + 1) * blk], minlength=code.q)
-            total += blk - int(counts.max())
-        if total < best:
-            best = total
-    return best
+
+    def weigh(block: np.ndarray) -> np.ndarray:
+        first, *rest = np.hsplit(block, t)
+        return _row_counts(first != 0) + sum(_balanced_weights(p, code.q) for p in rest)
+
+    return _min_nonzero(code, weigh)
 
 
 def nearest_codeword(
@@ -317,37 +328,21 @@ def nearest_codeword(
 ) -> tuple[Word, int]:
     """Closest codeword to w by full scan, as (codeword, distance).
 
-    Distance ties go to the lexicographically smallest message, so the
-    result is reproducible; the message is recoverable via unencode.
+    Distance ties go to the lexicographically smallest message, which the
+    scan meets first, so the result is reproducible; the message is
+    recoverable via unencode.
     """
     if len(w) != code.n:
         raise ValueError(f"word must have length {code.n}")
     _require_budget(code.q**code.k, "nearest codeword scan")
-    zero_msg = (0,) * code.k
-    best_msg = zero_msg
-    best_dist = hamming_weight(w)
-    if code.k:
-        if code.q == 2:
-            wp = sum((v & 1) << i for i, v in enumerate(w))
-            for gmsg, state in _gray_states(code):
-                dist = (state ^ wp).bit_count()
-                if dist < best_dist:
-                    best_dist = dist
-                    best_msg = tuple((gmsg >> i) & 1 for i in range(code.k))
-                elif dist == best_dist:
-                    msg = tuple((gmsg >> i) & 1 for i in range(code.k))
-                    if msg < best_msg:
-                        best_msg = msg
-        else:
-            w_arr = np.asarray(w, dtype=np.int64) % code.q
-            for digits, state in _odometer_states(code):
-                dist = int(np.count_nonzero(state != w_arr))
-                if dist < best_dist or (
-                    dist == best_dist and tuple(digits) < best_msg
-                ):
-                    best_dist = dist
-                    best_msg = tuple(digits)
-    return code.encode(best_msg), best_dist
+    w_arr = np.asarray(w, dtype=np.int64) % code.q
+    best_dist, best_index = code.n + 1, 0
+    for start, block in _codeword_blocks(code):
+        dist = _row_counts(block != w_arr.astype(block.dtype))
+        i = int(dist.argmin())
+        if dist[i] < best_dist:
+            best_dist, best_index = int(dist[i]), start + i
+    return code.encode(np.unravel_index(best_index, (code.q,) * code.k)), best_dist
 
 
 def dual_basis(code: GeneratorMatrixCode) -> GeneratorMatrixCode:

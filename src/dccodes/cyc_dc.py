@@ -30,8 +30,9 @@ from .code_core import (
     Decoded,
     DecodeOutcome,
     Word,
-    balanced_weight,
-    iter_codewords,
+    _balanced_weights,
+    _min_nonzero,
+    _require_budget,
 )
 from .cyclic import CyclicCode
 from .design_dc import IdentityOverCirculants
@@ -140,10 +141,9 @@ def d_balanced_check(base: CyclicCode, d: int) -> bool:
 
     Exhaustive over the base code's q^k codewords, budget-guarded.
     """
-    for message, cw in iter_codewords(base.generator_code):
-        if any(message) and balanced_weight(cw) < d:
-            return False
-    return True
+    code = base.generator_code
+    _require_budget(code.q**code.k, "d-balanced check")
+    return _min_nonzero(code, lambda block: _balanced_weights(block, code.q)) >= d
 
 
 def build_rm_dual_dc(m: int, r: int | None = None) -> CyclicDCCode:

@@ -1,10 +1,12 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
+from dccodes import cli
 from dccodes.design_dc import build_sidon_dc, dc_encode
 
 CLI = [sys.executable, "-m", "dccodes.cli"]
@@ -226,6 +228,25 @@ def test_bench(k18_descriptor):
     res = _run(["bench", str(k18_descriptor), "--trials", "5", "--seed", "3"])
     assert res.returncode == 0, res.stderr
     assert "decode" in res.stdout
+
+
+def test_bench_reports_cold_first_decode_apart(k18_descriptor, monkeypatch, capsys):
+    # one warm-up trial, reported on its own line, then the averaged trials
+    calls = []
+    decode = cli.design_decode
+
+    def counting(code, w):
+        calls.append(w)
+        return decode(code, w)
+
+    monkeypatch.setattr(cli, "design_decode", counting)
+    assert cli.main(["bench", str(k18_descriptor), "--trials", "4", "--seed", "3"]) == 0
+    assert len(calls) == 4 + 1
+    cold, summary = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(r"cold first decode \d+\.\d{3} ms", cold)
+    assert re.fullmatch(
+        r"4 trials at error weight 1: encode \d+\.\d{3} ms, decode \d+\.\d{3} ms", summary
+    )
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])

@@ -24,6 +24,9 @@ from dccodes.code_core import (
     nearest_codeword,
     split_balanced_weight,
 )
+from dccodes.algebra import Polynomial, PrimeField
+from dccodes.cyc_dc import d_balanced_check
+from dccodes.cyclic import CyclicCode
 from dccodes.design_dc import build_sidon_dc
 from fractions import Fraction
 
@@ -56,6 +59,9 @@ def test_zero_dimensional_code_needs_explicit_length():
     assert zero.n == 4 and zero.k == 0
     assert brute_force_distance(zero) == float("inf")
     assert brute_force_balanced_profile(zero, 2) == float("inf")
+    assert nearest_codeword(zero, (1, 0, 1, 1)) == ((0, 0, 0, 0), 3)
+    blocks = [(start, b.tolist()) for start, b in code_core._codeword_blocks(zero)]
+    assert blocks == [(0, [[0, 0, 0, 0]])]
 
 
 def test_encode_examples():
@@ -113,9 +119,9 @@ def test_brute_force_distance_examples():
     assert brute_force_distance(parity) == 2
 
 
-def test_brute_force_distance_gray_vs_naive():
+def test_brute_force_distance_vs_naive():
     rng = random.Random(13)
-    for q in (2, 3):
+    for q in (2, 3, 5, 7):
         for _ in range(10):
             code = _random_code(rng, q, 7, 3)
             naive = min(
@@ -124,6 +130,85 @@ def test_brute_force_distance_gray_vs_naive():
                 if any(m)
             )
             assert brute_force_distance(code) == naive
+
+
+def _naive_nearest(code, w):
+    """Nearest codeword by plain enumeration, ties to the smallest message."""
+    pairs = iter_codewords(code)
+    dist, _, cw = min((hamming_distance(cw, w), m, cw) for m, cw in pairs)
+    return cw, dist
+
+
+def _check_scans_against_naive(code, t, words):
+    """Every block scan equals its iter_codewords reference on this code."""
+    blocks = list(code_core._codeword_blocks(code))
+    rows = max(1, code_core.SCAN_BLOCK // code.n)
+    assert [start for start, _ in blocks] == list(
+        itertools.accumulate([0] + [len(b) for _, b in blocks[:-1]])
+    )
+    assert all(1 <= len(b) <= rows for _, b in blocks)
+    # the yielded array is reused, so each block is read before the next
+    scanned = [tuple(r.tolist()) for _, b in code_core._codeword_blocks(code) for r in b]
+    assert scanned == [cw for _, cw in iter_codewords(code)]
+    nonzero = [cw for m, cw in iter_codewords(code) if any(m)]
+    naive = min(map(hamming_weight, nonzero), default=math.inf)
+    assert brute_force_distance(code) == naive
+    assert brute_force_balanced_profile(code, t) == min(
+        (split_balanced_weight(cw, t, code.n // t) for cw in nonzero), default=math.inf
+    )
+    for w in words:
+        assert nearest_codeword(code, w) == _naive_nearest(code, w)
+
+
+@pytest.mark.parametrize("scan_block", [None, 1, 40], ids=["default", "row", "rows3"])
+@pytest.mark.parametrize("t", [2, 3])
+@pytest.mark.parametrize("q, k", [(2, 6), (3, 4), (5, 3), (7, 3)])
+def test_codeword_scans_match_naive(q, k, t, scan_block, monkeypatch):
+    # 40 symbols hold 3 codewords of length 12: a partial digit for q >= 5
+    if scan_block is not None:
+        monkeypatch.setattr(code_core, "SCAN_BLOCK", scan_block)
+    rng = random.Random(1000 * q + 10 * k + t)
+    for _ in range(2):
+        code = _random_code(rng, q, 12, k)
+        words = [tuple(rng.randrange(q) for _ in range(12)) for _ in range(10)]
+        _check_scans_against_naive(code, t, words)
+
+
+@pytest.mark.parametrize("q, dtype", [(127, np.uint8), (131, np.uint16)])
+def test_codeword_scans_straddle_narrow_dtype(q, dtype, monkeypatch):
+    # uint8 holds a sum of two symbols only while 2(q-1) <= 255; with 10 rows
+    # a block, q > 10 splits the one digit into runs, so heads reach q-1
+    monkeypatch.setattr(code_core, "SCAN_BLOCK", 40)
+    rng = random.Random(q)
+    code = GeneratorMatrixCode(q, [(1, q - 1, 2, q - 2)])
+    assert {b.dtype for _, b in code_core._codeword_blocks(code)} == {np.dtype(dtype)}
+    words = [tuple(rng.randrange(q) for _ in range(4)) for _ in range(5)]
+    _check_scans_against_naive(code, 2, words)
+
+
+def test_nearest_codeword_ties_go_to_smallest_message(monkeypatch):
+    rep = GeneratorMatrixCode(3, [(1, 1)])
+    rng = random.Random(47)
+    code = _random_code(rng, 3, 8, 3)
+    pairs = list(iter_codewords(code))
+    ties = []
+    for (m1, c1), (m2, c2) in rng.sample(list(itertools.combinations(pairs, 2)), 40):
+        # agree with c1 on half the positions where they differ, c2 on the rest
+        diff = [i for i in range(8) if c1[i] != c2[i]]
+        w = list(c1)
+        for i in diff[: len(diff) // 2]:
+            w[i] = c2[i]
+        if len(diff) % 2:
+            w[diff[-1]] = 3 - c1[diff[-1]] - c2[diff[-1]]
+        ties.append(tuple(w))
+    for scan_block in (code_core.SCAN_BLOCK, 8, 2):
+        monkeypatch.setattr(code_core, "SCAN_BLOCK", scan_block)
+        # (1, 2) is one symbol from both (1, 1) and (2, 2)
+        assert nearest_codeword(rep, (1, 2)) == ((1, 1), 1)
+        assert nearest_codeword(rep, (2, 1)) == ((1, 1), 1)
+        assert nearest_codeword(rep, (0, 2)) == ((0, 0), 1)
+        for w in ties:
+            assert nearest_codeword(code, w) == _naive_nearest(code, w)
 
 
 def test_brute_force_balanced_profile_examples():
@@ -234,6 +319,12 @@ def test_oracle_budget_enforced(monkeypatch):
         brute_force_distance(code)
     with pytest.raises(OracleBudgetExceeded):
         nearest_codeword(code, (0, 0, 0, 0))
+    with pytest.raises(OracleBudgetExceeded):
+        brute_force_balanced_profile(code, 2)
+    # x^3 + x + 1 divides x^7 - 1: a cyclic code with 16 codewords
+    base = CyclicCode(2, 7, Polynomial((1, 1, 0, 1), PrimeField(2)))
+    with pytest.raises(OracleBudgetExceeded):
+        d_balanced_check(base, 1)
     monkeypatch.setenv("ORACLE_BUDGET", "not-a-number")
     with pytest.raises(ValueError):
         brute_force_distance(code)

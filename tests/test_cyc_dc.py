@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -8,13 +9,15 @@ from dccodes.algebra import Polynomial, PrimeField, cyclic_mul, poly_divmod, pol
 from dccodes.code_core import (
     FAIL,
     Decoded,
+    balanced_weight,
     bounded_distance_decode,
     hamming_distance,
     hamming_weight,
     is_codeword,
+    iter_codewords,
     nearest_codeword,
 )
-from dccodes import cyc_dc
+from dccodes import code_core, cyc_dc
 from dccodes.cyc_dc import (
     CyclicDCCode,
     build_rm_dual_dc,
@@ -303,3 +306,16 @@ def test_d_balanced_check():
     assert d_balanced_check(zero, 100)  # vacuous: no nonzero codewords
 
     assert d_balanced_check(RM_DC.base, 7)
+
+
+@pytest.mark.parametrize("scan_block", [None, 20], ids=["default", "rows2-6"])
+def test_d_balanced_check_matches_naive(scan_block, monkeypatch):
+    # 20 symbols hold 2 to 6 codewords at these lengths, so scans split
+    if scan_block is not None:
+        monkeypatch.setattr(code_core, "SCAN_BLOCK", scan_block)
+    for q, n in ((2, 7), (3, 4), (5, 4), (7, 3)):
+        for base in enumerate_cyclic_codes(q, n):
+            pairs = iter_codewords(base.generator_code)
+            naive = min((balanced_weight(cw) for m, cw in pairs if any(m)), default=math.inf)
+            for d in (0, n + 1) if naive == math.inf else (naive, naive + 1):
+                assert d_balanced_check(base, d) == (naive >= d), (q, n, base.g, d)
