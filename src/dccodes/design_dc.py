@@ -5,6 +5,18 @@ indicator vector of a Sidon set. Distinct pairwise differences cap the
 support overlap of any two circulant columns at 2, and that overlap bound b
 is exactly what drives the majority decoder's radius d/(2b).
 
+The decoder keeps no table with the code: the vote of support element s
+for coordinate i is entry i + s of y laid twice end to end, so every vote
+set is a slice or a shift. One q=2 word runs on Python ints: it is packed
+into an int whose bit i is symbol i, A*x is an XOR of shifts, and the d
+votes per coordinate are summed in a bit-sliced counter of d.bit_length()
+planes. Binary votes of one word or of a batch elect 1 against one shared
+threshold, d//2 + 1 (ceil(d/2) under the self-test tie hook), and q > 2
+votes go through column_majority, which never loops over the q field
+values. Whatever q is, the q > 2 votes of a batch take about
+PATTERN_CHUNK * k int64 entries at a time (d * k for one word), and q=2
+ones k small ints per row.
+
 This module also holds the circulant matrix type and the
 identity-over-circulants core that all three families (Sidon, cyclic and
 Wozencraft) are built on; their products run on algebra.circulant_product.
@@ -184,9 +196,6 @@ class SidonDCCode(IdentityOverCirculants):
             raise AssertionError(
                 "a Sidon indicator circulant cannot have support overlap > 2"
             )
-        # numpy internals for the decoder
-        supp = np.array(self.circulant.support, dtype=np.int64)
-        self._vote_idx = (supp[:, None] + np.arange(k)[None, :]) % k
 
     @property
     def decode_radius(self) -> Fraction:
@@ -225,27 +234,96 @@ def dc_encode(code: SidonDCCode, m: Sequence[int]) -> Word:
     return code.encode(m)
 
 
+def _tie_high() -> bool:
+    """Whether the self-test mutation hook is set; read on every call."""
+    return bool(os.environ.get(TIE_HOOK_ENV))
+
+
+def _ones_threshold(d: int) -> int:
+    """Fewest ones among d binary votes that elect 1: d//2 + 1, so a tie
+    elects 0, or ceil(d/2) under the self-test mutation hook."""
+    return (d + 1) // 2 if _tie_high() else d // 2 + 1
+
+
 def column_majority(votes, q: int) -> np.ndarray:
     """Most frequent value in each column of votes, entries in [0, q).
 
     Votes reduce over the first axis: a 1-D votes is one column, and a
-    (d, k, N) array gives a (k, N) answer. Ties resolve to the smallest field
+    (d, ...) array gives a (...) answer. Ties resolve to the smallest field
     element (largest under the self-test mutation hook). The decoder's
     correctness proof guarantees a strict majority inside the decoding radius,
     so the tie rule only matters beyond it, where the final distance check
     catches wrong guesses anyway.
     """
     votes = np.asarray(votes, dtype=np.int64)
-    tie_high = bool(os.environ.get(TIE_HOOK_ENV))
     if q == 2:
-        twice_ones = 2 * votes.sum(axis=0)
-        d = votes.shape[0]
-        won = twice_ones >= d if tie_high else twice_ones > d
-        return won.astype(np.int64)
-    counts = np.stack([(votes == alpha).sum(axis=0) for alpha in range(q)])
-    if tie_high:
-        return q - 1 - counts[::-1].argmax(axis=0)
-    return counts.argmax(axis=0)
+        return (votes.sum(axis=0) >= _ones_threshold(len(votes))).astype(np.int64)
+    # Each slot's key, count*q - value, orders by how many slots agree with
+    # it and then by the smaller value (count*q + value and the larger value
+    # under the hook), so the largest key names the winner; no loop runs over
+    # the q values. Eight slots at a time compare as a bool array the size of
+    # the int64 votes.
+    tie_high = _tie_high()
+    best = None
+    for j in range(0, len(votes), 8):
+        v = votes[j : j + 8]
+        count = (v[:, None] == votes).sum(axis=1) * q
+        key = (count + v if tie_high else count - v).max(axis=0)
+        best = key if best is None else np.maximum(best, key)
+    return best % q if tie_high else -best % q
+
+
+def _bit_decode(code: SidonDCCode, bits: np.ndarray) -> tuple[np.ndarray, np.bool_]:
+    """majority_decode of one q=2 word held as 2k bits, on Python ints.
+
+    The word is packed into an int whose bit i is symbol i. Every circulant
+    step is a shift of a block laid twice end to end: A*x is the XOR of x
+    rotated left by each support element s, and the vote of s for
+    coordinate i is y rotated right by s. The d votes are added into
+    d.bit_length() bit planes (a bit-sliced counter, Biham 1997), which are
+    compared with the threshold most significant plane first.
+    """
+    k, d = code.k, code.profile.d
+    supp = code.circulant.support
+    mask = (1 << k) - 1
+    bits = np.packbits(bits.astype(np.uint8, copy=False), bitorder="little")
+    word = int.from_bytes(bits.tobytes(), "little")
+    w0, w1 = word & mask, word >> k
+
+    def act(x: int) -> int:
+        twice = x | x << k
+        out = 0
+        for s in supp:
+            out ^= twice >> (k - s)
+        return out & mask
+
+    y = act(w0) ^ w1
+    twice = y | y << k
+    planes = [0] * d.bit_length()
+    for s in supp:
+        carry = twice >> s & mask  # the mask keeps every plane k bits wide
+        for j, plane in enumerate(planes):
+            planes[j] = plane ^ carry
+            carry &= plane
+            if not carry:
+                break
+    # z = [count >= t], most significant plane first: level keeps the columns
+    # that hold every 1 bit of t read so far, and such a column with a 1
+    # where t has a 0 is above t
+    t = _ones_threshold(d)
+    above, level = 0, mask
+    for j in reversed(range(len(planes))):
+        if t >> j & 1:
+            level &= planes[j]
+        else:
+            above |= level & planes[j]
+    z = above | level
+    c0 = w0 ^ z
+    c1 = act(c0)
+    dist = z.bit_count() + (c1 ^ w1).bit_count()
+    c = (c0 | c1 << k).to_bytes((2 * k + 7) // 8, "little")
+    c = np.unpackbits(np.frombuffer(c, dtype=np.uint8), count=2 * k, bitorder="little")
+    return c.astype(np.int64), np.bool_(2 * code.profile.b * dist < d)
 
 
 def majority_decode(code: SidonDCCode, w) -> tuple[np.ndarray, np.ndarray]:
@@ -255,13 +333,28 @@ def majority_decode(code: SidonDCCode, w) -> tuple[np.ndarray, np.ndarray]:
     blocks e0, e1, so each coordinate of e0 shows up as the majority value of
     y over the matching column support whenever the total error weight is
     below d/(2b). Returns the codewords, an int64 array shaped like w, and
-    whether each lies strictly within that radius of its word. Rows are
-    voted on PATTERN_CHUNK // d at a time, to bound the (d, k, rows) votes.
+    whether each lies strictly within that radius of its word.
+
+    One q=2 word is decoded on Python ints (_bit_decode). Otherwise the vote
+    of support element s for coordinate i is y[i + s] of y laid twice end to
+    end: q=2 rows add their d slices into a small-int count, and q > 2 takes
+    column_majority of the stacked slices, PATTERN_CHUNK // d rows at a time
+    to bound that (d, rows, k) stack. No vote table is kept with the code.
     """
     k, q, d = code.k, code.q, code.profile.d
-    w = reduce_mod(np.asarray(w, dtype=np.int64), q)
+    packed = None
+    if q == 2 and isinstance(w, (tuple, list)):
+        # bytes() packs small non-negative ints far faster than np.asarray;
+        # never call it on an ndarray, whose raw buffer it would read
+        try:
+            packed = np.frombuffer(bytes(w), dtype=np.uint8) & 1
+        except (TypeError, ValueError):
+            pass
+    w = packed if packed is not None else reduce_mod(np.asarray(w, dtype=np.int64), q)
     if w.shape[-1] != 2 * k:
         raise ValueError(f"word must have length {2 * k}")
+    if q == 2 and w.ndim == 1:
+        return _bit_decode(code, w)
     rows = max(1, PATTERN_CHUNK // d)
     if w.ndim == 2 and len(w) > rows:
         chunks = (w[i : i + rows] for i in range(0, len(w), rows))
@@ -269,8 +362,16 @@ def majority_decode(code: SidonDCCode, w) -> tuple[np.ndarray, np.ndarray]:
         return tuple(np.concatenate(p) for p in zip(*parts))
     w0, w1 = w[..., :k], w[..., k:]
     y = reduce_mod(code.circulant.act(w0, q) - w1, q)
-    # column i votes on y over supp+i: (d, k) votes for a word, (d, k, N) for rows
-    z = column_majority(y.T[code._vote_idx], q).T
+    twice = np.concatenate([y, y], axis=-1)
+    supp = code.circulant.support
+    if q == 2:
+        twice = twice.astype(np.uint8 if d < 256 else np.uint16)
+        count = twice[..., supp[0] : supp[0] + k].copy()
+        for s in supp[1:]:
+            count += twice[..., s : s + k]
+        z = (count >= _ones_threshold(d)).astype(np.int64)
+    else:
+        z = column_majority(np.array([twice[..., s : s + k] for s in supp]), q)
     c0 = reduce_mod(w0 - z, q)
     c = np.concatenate([c0, code.circulant.act(c0, q)], axis=-1)
     # strict rational comparison: dist < d / (2b)

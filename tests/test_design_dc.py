@@ -1,7 +1,12 @@
 import hashlib
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -374,3 +379,102 @@ def test_vectorized_decoder_matches_reference(monkeypatch, tie_high):
 def test_sidon_dc_requires_two_elements():
     with pytest.raises(ValueError):
         SidonDCCode(2, 10, SidonSet((3,), 10))
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_one_word_input_forms(q):
+    # tuples, lists, ndarrays, numpy scalars, negatives and symbols >= 256
+    # all name the same word mod q
+    code = build_sidon_dc(q, 18, (0, 7, 13))
+    rng = random.Random(241)
+    w = list(dc_encode(code, [rng.randrange(q) for _ in range(18)]))
+    w[5] = (w[5] + 1) % q
+    expected = design_decode(code, tuple(w))
+    assert isinstance(expected, Decoded)
+    lifted = [v + q * rng.choice((-3, -1, 0, 200, 1000)) for v in w]
+    forms = [
+        list(w),
+        np.array(w),
+        np.array(w, dtype=np.uint8),
+        [np.int64(v) for v in w],
+        [np.uint8(v) for v in w],
+        [-v for v in w] if q == 2 else [v - q for v in w],
+        tuple(lifted),
+        np.array(lifted),
+        tuple(bool(v) for v in w) if q == 2 else tuple(w),
+    ]
+    for form in forms:
+        assert design_decode(code, form) == expected
+        c, ok = majority_decode(code, form)
+        assert c.dtype == np.int64 and tuple(c.tolist()) == expected.codeword and ok
+    for bad in (tuple(w[:-1]), list(w) + [0], np.array(w[1:]), []):
+        with pytest.raises(ValueError, match="word must have length 36"):
+            design_decode(code, bad)
+
+
+def _run_script(script: str, timeout: float) -> dict:
+    """Run script in a fresh interpreter with this dccodes importable and
+    return the JSON object it prints."""
+    src = str(Path(design_dc.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stdout)
+
+
+def test_k200000_build_and_decode_memory():
+    # no per-code vote table: a (d, k) intp index table alone would take
+    # ~500 MB here (d = 313)
+    out = _run_script(
+        """
+import json, random, resource, sys, time
+from dccodes.design_dc import build_sidon_dc, dc_encode, design_decode
+from dccodes.sidon import sidon_for_length
+code = build_sidon_dc(2, 200000, sidon_for_length(200000))
+rng = random.Random(251)
+m = tuple(rng.randrange(2) for _ in range(code.k))
+w = list(dc_encode(code, m))
+for pos in rng.sample(range(len(w)), 70):
+    w[pos] ^= 1
+start = time.perf_counter()
+out = design_decode(code, w)
+seconds = time.perf_counter() - start
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+mb = peak / 2**20 if sys.platform == "darwin" else peak / 2**10
+print(json.dumps({"exact": bool(out) and out.message == m, "mb": mb,
+                  "radius": str(code.decode_radius), "seconds": seconds}))
+""",
+        timeout=120,
+    )
+    assert out["radius"] == "313/4" and out["exact"]
+    assert out["mb"] <= 150, out
+    assert out["seconds"] < 5, out
+
+
+def test_huge_field_one_word_decode_is_fast():
+    # no loop runs over the q field values: a one-word decode at q = 2^31 - 1
+    # is as cheap as at q = 3
+    out = _run_script(
+        """
+import json, random, time
+from dccodes.design_dc import build_sidon_dc, dc_encode, design_decode
+q = 2**31 - 1
+code = build_sidon_dc(q, 18, (0, 7, 13))
+rng = random.Random(257)
+m = tuple(rng.randrange(q) for _ in range(18))
+w = list(dc_encode(code, m))
+w[4] = (w[4] + 12345) % q
+start = time.perf_counter()
+hit = design_decode(code, w)
+miss = design_decode(code, [rng.randrange(q) for _ in range(36)])
+print(json.dumps({"exact": bool(hit) and hit.message == m, "miss": not miss,
+                  "seconds": time.perf_counter() - start}))
+""",
+        timeout=60,
+    )
+    assert out["exact"] and out["miss"]
+    assert out["seconds"] < 1, out
