@@ -8,11 +8,10 @@ and q is a primitive root mod k.
 
 circulant_product computes every circulant (cyclic convolution) product:
 the circulant blocks of every family, cyclic_mul and the rm-dc division by
-the check polynomial. It has two exact regimes, chosen from the operand's
-shape and the column's term count alone: one numpy slice-add per nonzero
-term, for batches and sparse columns, and one big-integer multiplication
-(Kronecker substitution) for a single vector against a dense column, such
-as the rm-dc generator g and check polynomial h.
+the check polynomial. A single q=2 vector is packed into one Python int and
+multiplied by gf2_circulant, the one GF(2) circulant kernel, which the Sidon
+majority decoder shares; batches and every q > 2 take one numpy slice-add
+per nonzero term.
 
 The quotient-ring section validates (q, k) and keeps reference arithmetic
 (reduce_mod_pk, quotient_mul) for the tests; the Wozencraft codes compute
@@ -238,39 +237,17 @@ def reduce_mod(x: np.ndarray, q: int) -> np.ndarray:
     return x & 1 if q == 2 else x % q
 
 
-# Karatsuba's exponent less the slices' linear one; see circulant_product.
-_DENSE_EXPONENT = math.log2(3) - 1
-
-# Digit width in bits -> little-endian numpy dtype of one digit. 64-bit
-# digits are read as int64: the bound check keeps every digit below 2^63.
-_DIGIT_DTYPES = {8: "<u1", 16: "<u2", 32: "<u4", 64: "<i8"}
-
-
-def _product_bound(terms: Sequence[tuple[int, int]], q: int) -> int:
-    """(q-1) * sum of the column's entries mod q: the largest value any entry
-    of a product can take before the final reduction. Raises ValueError when
-    it does not fit in int64."""
-    bound = (q - 1) * sum(a % q for _, a in terms)
-    if bound >= 1 << 63:
-        raise ValueError(
-            f"circulant product over F_{q} exceeds int64: (q-1)*sum(a) = {bound}"
-        )
-    return bound
-
-
-@lru_cache(maxsize=256)
-def _dense_terms(k: int) -> float:
-    """k^0.585: the term count from which one length-k vector takes the
-    integer product (cached, as circulant_product asks it on every call)."""
-    return k**_DENSE_EXPONENT
-
-
 def _slice_product(terms: Sequence[tuple[int, int]], x, q: int) -> np.ndarray:
     """circulant_product by one slice-add of x, laid twice end to end, per term."""
-    # (q-1)^2 * t < 2^63 for every q <= 2^16 and t < 2^31, so the usual
-    # small fields skip the bound's sum
+    # (q-1) * sum(a), the largest entry before the final reduction, must fit
+    # in int64; (q-1)^2 * t < 2^63 for every q <= 2^16 and t < 2^31, so the
+    # usual small fields skip the sum
     if q > 1 << 16 and (q - 1) ** 2 * len(terms) >= 1 << 63:
-        _product_bound(terms, q)
+        bound = (q - 1) * sum(a % q for _, a in terms)
+        if bound >= 1 << 63:
+            raise ValueError(
+                f"circulant product over F_{q} exceeds int64: (q-1)*sum(a) = {bound}"
+            )
     x = reduce_mod(np.asarray(x, dtype=np.int64), q)
     k = x.shape[-1]
     doubled = np.concatenate([x, x], axis=-1)
@@ -282,32 +259,53 @@ def _slice_product(terms: Sequence[tuple[int, int]], x, q: int) -> np.ndarray:
     return reduce_mod(out, q)
 
 
-@lru_cache(maxsize=256)
-def _packed_column(terms: tuple[tuple[int, int], ...], q: int) -> tuple[int, int]:
-    """(w, c): the smallest digit width w in 8/16/32/64 bits that holds every
-    coefficient of a product with this column, and the column packed as the
-    int c whose w-bit digit s is the entry at row s."""
-    bound = _product_bound(terms, q)
-    w = next(w for w in _DIGIT_DTYPES if bound < 1 << w)
-    return w, sum((a % q) << (w * s) for s, a in terms)
+def gf2_bits(x) -> np.ndarray:
+    """x mod 2 as a uint8 array of 0/1 entries, shaped like x.
 
-
-def _integer_product(terms: Sequence[tuple[int, int]], x, q: int) -> np.ndarray:
-    """circulant_product of one length-k vector by Kronecker substitution.
-
-    x and the column are read as ints with little-endian w-bit digits, so
-    their one product holds the 2k coefficients of the linear product, each
-    below 2^w and so free of carries; folding the top k onto the bottom k
-    gives the cyclic product.
+    x is a word, a message or an array of them. A tuple or list of ints in
+    range(256) is read through bytes(), many times faster than np.asarray;
+    an ndarray never is, as bytes() would read its raw buffer.
     """
-    w, column = _packed_column(tuple(terms), q)
-    dtype = _DIGIT_DTYPES[w]
-    x = reduce_mod(np.asarray(x, dtype=np.int64), q)
-    k = x.shape[-1]
-    packed = int.from_bytes(x.astype(dtype).tobytes(), byteorder="little")
-    digits = (packed * column).to_bytes(length=2 * k * w // 8, byteorder="little")
-    linear = np.frombuffer(digits, dtype=dtype).astype(np.int64)
-    return reduce_mod(linear[:k] + linear[k:], q)
+    if isinstance(x, (tuple, list)):
+        try:
+            return np.frombuffer(bytes(x), dtype=np.uint8) & 1
+        except (TypeError, ValueError):
+            pass
+    # the uint8 cast wraps mod 256, which keeps every entry's parity
+    return np.asarray(x, dtype=np.int64).astype(np.uint8) & 1
+
+
+def pack_bits(bits: np.ndarray) -> int:
+    """The int whose bit i is bits[i], for a 1-D array of 0/1 entries."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def unpack_bits(v: int, k: int) -> np.ndarray:
+    """Bits 0..k-1 of the non-negative int v as a uint8 array; pack_bits' inverse."""
+    raw = np.frombuffer(v.to_bytes((k + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=k, bitorder="little")
+
+
+def gf2_circulant(terms: Sequence[tuple[int, int]], v: int, k: int) -> int:
+    """A*x over F_2 with x packed into the k-bit int v (bit i is x_i).
+
+    A*x is the XOR of x rotated up by s for every term (s, a) with a odd:
+    bits k-s .. 2k-s-1 of x laid twice end to end.
+    """
+    twice = v | v << k
+    out = 0
+    for s, a in terms:
+        if a & 1:
+            out ^= twice >> (k - s)
+    return out & ((1 << k) - 1)
+
+
+def _packed_product(
+    terms: Sequence[tuple[int, int]], bits: np.ndarray, k: int
+) -> np.ndarray:
+    """A*x over F_2 for one vector of at most k 0/1 bits (gf2_bits), zero
+    padded to length k, on one packed int; returns k uint8 bits."""
+    return unpack_bits(gf2_circulant(terms, pack_bits(bits), k), k)
 
 
 def circulant_product(terms: Sequence[tuple[int, int]], x, q: int) -> np.ndarray:
@@ -317,39 +315,38 @@ def circulant_product(terms: Sequence[tuple[int, int]], x, q: int) -> np.ndarray
     x is a length-k vector or an (N, k) array of rows, and every s lies in
     range(k). Returns an int64 array shaped like x, reduced mod q. Entry i is
     the sum over terms of a * x_(i-s mod k), computed exactly in one of two
-    regimes:
+    regimes, chosen by q and the shape of x alone:
 
-    - slices: one pass over x per term, adding the slice of x laid twice end
-      to end that the term selects. It takes batches, and working memory
-      stays a few arrays of x's size.
-    - integer product: a single vector against a column of t >= k^0.585
-      terms (log2(3) - 1, the excess of Karatsuba's exponent over the slices'
-      linear cost) is one multiplication of two Python ints with w-bit
-      digits, w the smallest of 8/16/32/64 that holds (q-1) * sum(a). Each
-      column is packed once (lru_cache).
+    - packed (q=2, one vector; _packed_product): x becomes one Python int
+      (gf2_bits, pack_bits), A*x the XOR of its rotations by the odd terms
+      (gf2_circulant), and the result is unpacked. No int64 array is made
+      until the last step.
+    - slices (batches, and every q > 2): one pass over x per term, adding
+      the slice of x laid twice end to end that the term selects. It
+      refuses, with a ValueError, a column whose products would not fit in
+      int64: (q-1) * sum(a) must stay below 2^63.
 
-    Single-vector crossover, q=2, 2-core host, Python 3.11 (slices / integer
-    product; t* is the measured break-even term count):
+    One q=2 int64 vector against t terms, conversions included, 2-core host:
 
-    ==========================  ======  ===  ========  ========  ====  ======
-    case                          k      t   slices    integer   t*    k^.585
-    ==========================  ======  ===  ========  ========  ====  ======
-    rm-dc m=8 g                   255    80    77 us     15 us   ~16     26
-    rm-dc m=8 h (quotient, 2n)    510    39    39 us     11 us   ~11     38
-    rm-dc m=10 g (16-bit digits) 1023   320   484 us    196 us  ~130     58
-    rm-dc m=10 h (quotient, 2n)  2046   191   341 us    122 us   ~70     86
-    Sidon k=59                     59     5    14 us     10 us    ~3     11
-    Sidon k=242                   242    11    24 us     19 us    ~9     25
-    Sidon k=2000                 2000    31    80 us    249 us   ~96     85
-    ==========================  ======  ===  ========  ========  ====  ======
+    ==========================  ======  ===  ========  ========
+    case                          k      t   slices    packed
+    ==========================  ======  ===  ========  ========
+    Sidon k=59                     59     5      8 us      6 us
+    Sidon k=2000                 2000    31     46 us     16 us
+    rm-dc m=8 g                   255    80     64 us     15 us
+    rm-dc m=8 h (quotient, 2n)    510    39     40 us     12 us
+    rm-dc m=10 g                 1023   320    299 us     52 us
+    rm-dc m=11 h (quotient, 2n)  4094   523    886 us    161 us
+    ==========================  ======  ===  ========  ========
 
-    Batches stay on slices: on a 538-row k=269 Wozencraft batch (t=11) the
-    slices took 3.9 ms, one integer product per row 7.3 ms. Both regimes
-    check that (q-1) * sum(a) fits in int64 and raise ValueError otherwise.
+    Batches stay on slices: each slice-add moves a whole (N, k) array at
+    once, where the packed regime would loop over the rows in Python.
     """
-    x = np.asarray(x, dtype=np.int64)
-    if x.ndim == 1 and len(terms) >= _dense_terms(x.shape[0]):
-        return _integer_product(terms, x, q)
+    # an ndarray batch skips gf2_bits; a nested list is found a batch by it
+    if q == 2 and getattr(x, "ndim", 1) == 1:
+        x = gf2_bits(x)
+        if x.ndim == 1:
+            return _packed_product(terms, x, len(x)).astype(np.int64)
     return _slice_product(terms, x, q)
 
 
@@ -360,13 +357,16 @@ def cyclic_mul(
 
     m is a Polynomial over a's field, or a coefficient sequence or array of
     length at most k. The product is circulant_product of the circulant whose
-    first column holds the coefficients of a.
+    first column holds the coefficients of a; at q=2 it runs the packed
+    regime, and the tuple comes straight from the product's bytes.
     """
     if isinstance(m, Polynomial):
         a._check(m)
         m = m.coeffs
     if a.degree >= k or len(m) > k:
         raise ValueError(f"operands must have degree below {k}")
+    if a.field.q == 2:
+        return tuple(_packed_product(a.terms, gf2_bits(m), k).tobytes())
     x = np.zeros(k, dtype=np.int64)
     x[: len(m)] = m
     return tuple(circulant_product(a.terms, x, a.field.q).tolist())

@@ -8,14 +8,15 @@ is exactly what drives the majority decoder's radius d/(2b).
 The decoder keeps no table with the code: the vote of support element s
 for coordinate i is entry i + s of y laid twice end to end, so every vote
 set is a slice or a shift. One q=2 word runs on Python ints: it is packed
-into an int whose bit i is symbol i, A*x is an XOR of shifts, and the d
-votes per coordinate are summed in a bit-sliced counter of d.bit_length()
-planes. Binary votes of one word or of a batch elect 1 against one shared
-threshold, d//2 + 1 (ceil(d/2) under the self-test tie hook), and q > 2
-votes go through column_majority, which never loops over the q field
-values. Whatever q is, the q > 2 votes of a batch take about
-PATTERN_CHUNK * k int64 entries at a time (d * k for one word), and q=2
-ones k small ints per row.
+into an int whose bit i is symbol i (algebra.gf2_bits and pack_bits), A*x
+is algebra.gf2_circulant, the XOR of rotations that every q=2 circulant
+product of one vector uses, and the d votes per coordinate are summed in a
+bit-sliced counter of d.bit_length() planes. Binary votes of one word or of
+a batch elect 1 against one shared threshold, d//2 + 1 (ceil(d/2) under the
+self-test tie hook), and q > 2 votes go through column_majority, which
+never loops over the q field values. Whatever q is, the q > 2 votes of a
+batch take about PATTERN_CHUNK * k int64 entries at a time (d * k for one
+word), and q=2 ones k small ints per row.
 
 This module also holds the circulant matrix type and the
 identity-over-circulants core that all three families (Sidon, cyclic and
@@ -37,7 +38,11 @@ from .algebra import (
     PrimeField,
     circulant_product,
     cyclic_mul,
+    gf2_bits,
+    gf2_circulant,
+    pack_bits,
     reduce_mod,
+    unpack_bits,
 )
 from .code_core import (
     FAIL,
@@ -160,13 +165,17 @@ class IdentityOverCirculants:
         """Codeword (m, A_1*m, ..., A_(t-1)*m).
 
         Each block is one cyclic_mul of the message by a column polynomial
-        built with the code, so a single message costs one circulant_product
-        per block.
+        built with the code. At q=2 the message is reduced to bits once and
+        every block is a product of packed ints, so no int64 array is made.
         """
         if len(m) != self.k:
             raise ValueError(f"message must have length {self.k}")
-        msg = reduce_mod(np.asarray(m, dtype=np.int64), self.q)
-        out = tuple(msg.tolist())
+        if self.q == 2:
+            msg = gf2_bits(m)
+            out = tuple(msg.tobytes())
+        else:
+            msg = reduce_mod(np.asarray(m, dtype=np.int64), self.q)
+            out = tuple(msg.tolist())
         for col in self._column_polys:
             out += cyclic_mul(col, msg, self.k)
         return out
@@ -273,34 +282,27 @@ def column_majority(votes, q: int) -> np.ndarray:
     return best % q if tie_high else -best % q
 
 
-def _bit_decode(code: SidonDCCode, bits: np.ndarray) -> tuple[np.ndarray, np.bool_]:
-    """majority_decode of one q=2 word held as 2k bits, on Python ints.
+def _bit_decode(code: SidonDCCode, bits: np.ndarray) -> tuple[np.ndarray, bool]:
+    """majority_decode of one q=2 word of 2k bits (gf2_bits) on Python ints,
+    with the codeword returned as uint8 bits.
 
-    The word is packed into an int whose bit i is symbol i. Every circulant
-    step is a shift of a block laid twice end to end: A*x is the XOR of x
-    rotated left by each support element s, and the vote of s for
-    coordinate i is y rotated right by s. The d votes are added into
+    The word is packed into an int whose bit i is symbol i, and both products
+    A*x are algebra.gf2_circulant. The vote of support element s for
+    coordinate i is y rotated down by s. The d votes are added into
     d.bit_length() bit planes (a bit-sliced counter, Biham 1997), which are
     compared with the threshold most significant plane first.
     """
     k, d = code.k, code.profile.d
-    supp = code.circulant.support
+    if bits.shape != (2 * k,):
+        raise ValueError(f"word must have length {2 * k}")
+    terms = code.circulant.terms
     mask = (1 << k) - 1
-    bits = np.packbits(bits.astype(np.uint8, copy=False), bitorder="little")
-    word = int.from_bytes(bits.tobytes(), "little")
+    word = pack_bits(bits)
     w0, w1 = word & mask, word >> k
-
-    def act(x: int) -> int:
-        twice = x | x << k
-        out = 0
-        for s in supp:
-            out ^= twice >> (k - s)
-        return out & mask
-
-    y = act(w0) ^ w1
+    y = gf2_circulant(terms, w0, k) ^ w1
     twice = y | y << k
     planes = [0] * d.bit_length()
-    for s in supp:
+    for s in code.circulant.support:
         carry = twice >> s & mask  # the mask keeps every plane k bits wide
         for j, plane in enumerate(planes):
             planes[j] = plane ^ carry
@@ -319,11 +321,9 @@ def _bit_decode(code: SidonDCCode, bits: np.ndarray) -> tuple[np.ndarray, np.boo
             above |= level & planes[j]
     z = above | level
     c0 = w0 ^ z
-    c1 = act(c0)
+    c1 = gf2_circulant(terms, c0, k)
     dist = z.bit_count() + (c1 ^ w1).bit_count()
-    c = (c0 | c1 << k).to_bytes((2 * k + 7) // 8, "little")
-    c = np.unpackbits(np.frombuffer(c, dtype=np.uint8), count=2 * k, bitorder="little")
-    return c.astype(np.int64), np.bool_(2 * code.profile.b * dist < d)
+    return unpack_bits(c0 | c1 << k, 2 * k), 2 * code.profile.b * dist < d
 
 
 def majority_decode(code: SidonDCCode, w) -> tuple[np.ndarray, np.ndarray]:
@@ -342,19 +342,14 @@ def majority_decode(code: SidonDCCode, w) -> tuple[np.ndarray, np.ndarray]:
     to bound that (d, rows, k) stack. No vote table is kept with the code.
     """
     k, q, d = code.k, code.q, code.profile.d
-    packed = None
-    if q == 2 and isinstance(w, (tuple, list)):
-        # bytes() packs small non-negative ints far faster than np.asarray;
-        # never call it on an ndarray, whose raw buffer it would read
-        try:
-            packed = np.frombuffer(bytes(w), dtype=np.uint8) & 1
-        except (TypeError, ValueError):
-            pass
-    w = packed if packed is not None else reduce_mod(np.asarray(w, dtype=np.int64), q)
+    if q == 2 and getattr(w, "ndim", 1) == 1:
+        w = gf2_bits(w)
+        if w.ndim == 1:
+            c, ok = _bit_decode(code, w)
+            return c.astype(np.int64), np.bool_(ok)
+    w = reduce_mod(np.asarray(w, dtype=np.int64), q)
     if w.shape[-1] != 2 * k:
         raise ValueError(f"word must have length {2 * k}")
-    if q == 2 and w.ndim == 1:
-        return _bit_decode(code, w)
     rows = max(1, PATTERN_CHUNK // d)
     if w.ndim == 2 and len(w) > rows:
         chunks = (w[i : i + rows] for i in range(0, len(w), rows))
@@ -380,8 +375,11 @@ def majority_decode(code: SidonDCCode, w) -> tuple[np.ndarray, np.ndarray]:
 
 def design_decode(code: SidonDCCode, w: Sequence[int]) -> DecodeOutcome:
     """majority_decode of one word, as a Decoded codeword or FAIL."""
-    c, ok = majority_decode(code, w)
-    if ok:
-        c = tuple(c.tolist())
-        return Decoded(c, c[: code.k])
-    return FAIL
+    if code.q == 2:
+        c, ok = _bit_decode(code, gf2_bits(w))
+    else:
+        c, ok = majority_decode(code, w)
+    if not ok:
+        return FAIL
+    c = tuple(c.tobytes() if code.q == 2 else c.tolist())
+    return Decoded(c, c[: code.k])

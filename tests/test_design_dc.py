@@ -20,7 +20,7 @@ from dccodes.code_core import (
     brute_force_distance,
     hamming_distance,
 )
-from dccodes.cyc_dc import build_rm_dual_dc
+from dccodes.cyc_dc import build_rm_dual_dc, cyc_dc_encode
 from dccodes.design_dc import (
     CirculantMatrix,
     DesignProfile,
@@ -33,7 +33,7 @@ from dccodes.design_dc import (
     majority_decode,
 )
 from dccodes.sidon import SidonSet, sidon_erdos_turan, sidon_for_length
-from dccodes.weldon import build_wozencraft
+from dccodes.weldon import build_wozencraft, weldon_encode
 
 K18 = build_sidon_dc(2, 18, (0, 7, 13))
 
@@ -70,9 +70,8 @@ def _cyclic_mul_reference(a, m, k, q):
 
 # (q, k, kind of first column); "trailing" columns end in zeros, so
 # cyclic_mul's canonical polynomial is shorter than the circulant's column.
-# "wide" columns hold 320 terms, as the rm-dc m=10 generator does, so the
-# integer product needs 16-bit digits; dense q=3 and q=5 columns at k=255
-# need them too, and dense q=257 columns need 32-bit digits.
+# "wide" columns hold 320 terms, as the rm-dc m=10 generator does; dense
+# q=257 columns sum products far above q^2 before reducing.
 CIRCULANT_CASES = [
     *((q, k, density) for density in ("dense", "sparse") for k in (1, 2, 7, 18, 242)
       for q in (2, 3, 5)),
@@ -114,35 +113,64 @@ def test_circulant_act_matches_cyclic_mul(q, k, density):
     assert out.dtype == np.int64 and out.shape == (len(batch), k)
     assert [tuple(r) for r in out.tolist()] == expected
     # both regimes, whichever one circulant_product picks for this shape
-    for regime in (algebra._slice_product, algebra._integer_product):
-        for row, exp in zip(batch, expected):
-            out = regime(a.terms, row, q)
-            assert out.dtype == np.int64 and tuple(out.tolist()) == exp
+    for row, exp in zip(batch, expected):
+        out = algebra._slice_product(a.terms, row, q)
+        assert out.dtype == np.int64 and tuple(out.tolist()) == exp
+        if q == 2:
+            out = algebra._packed_product(a.terms, algebra.gf2_bits(row), k)
+            assert out.dtype == np.uint8 and tuple(out.tolist()) == exp
 
 
 def test_circulant_product_regime_selection(monkeypatch):
-    # dense columns against one vector take the integer product; batches and
-    # sparse columns take the slices
+    # one q=2 vector takes the packed regime, whatever its column; batches
+    # and q > 2 take the slices
     rm8 = build_rm_dual_dc(8)
     sidon = build_sidon_dc(2, 2000, sidon_for_length(2000))
     calls = []
-    for name in ("_slice_product", "_integer_product"):
+    for name in ("_slice_product", "_packed_product"):
         real = getattr(algebra, name)
         monkeypatch.setattr(
             algebra, name, lambda *a, _r=real, _n=name: calls.append(_n) or _r(*a)
         )
-    for circulant, x, regime in [
-        (rm8.circulant, np.ones(rm8.k, dtype=np.int64), "_integer_product"),
-        (rm8.circulant, np.ones((2, rm8.k), dtype=np.int64), "_slice_product"),
-        (sidon.circulant, np.ones(sidon.k, dtype=np.int64), "_slice_product"),
+    for circulant, x, q, regime in [
+        (rm8.circulant, np.ones(rm8.k, dtype=np.int64), 2, "_packed_product"),
+        (rm8.circulant, np.ones((2, rm8.k), dtype=np.int64), 2, "_slice_product"),
+        (rm8.circulant, np.ones(rm8.k, dtype=np.int64), 3, "_slice_product"),
+        (sidon.circulant, np.ones(sidon.k, dtype=np.int64), 2, "_packed_product"),
+        (sidon.circulant, [1] * sidon.k, 2, "_packed_product"),
+        (sidon.circulant, np.ones((3, sidon.k), dtype=np.int64), 2, "_slice_product"),
+        (sidon.circulant, np.ones(sidon.k, dtype=np.int64), 5, "_slice_product"),
     ]:
         calls.clear()
-        circulant.act(x, 2)
+        circulant.act(x, q)
         assert calls == [regime]
     second_block = rm8.encode([1] * rm8.k)[rm8.k :]
     calls.clear()
     rm8.base.quotient(second_block)
-    assert calls == ["_integer_product"]
+    assert calls == ["_packed_product"]
+
+
+@pytest.mark.parametrize("k", [1, 7, 9, 255, 1023, 2000])
+def test_packed_product_matches_reference(k):
+    # coefficient 2 drops out at q=2 and 3 acts as 1; x entries outside
+    # {0, 1}, negatives included, reduce first
+    rng = random.Random(f"packed-{k}")
+    first = [0] * k
+    for s in rng.sample(range(k), min(k, 2 * math.isqrt(k) + 1)):
+        first[s] = rng.choice((1, 2, 3))
+    terms = tuple((s, a) for s, a in enumerate(first) if a)
+    for _ in range(4):
+        x = [rng.randrange(-5, 300) for _ in range(k)]
+        exp = _cyclic_mul_reference(first, x, k, 2)
+        for form in (x, tuple(x), np.array(x)):
+            out = algebra.circulant_product(terms, form, 2)
+            assert out.dtype == np.int64 and tuple(out.tolist()) == exp
+        out = algebra._packed_product(terms, algebra.gf2_bits(x), k)
+        assert tuple(out.tolist()) == exp
+        # a message shorter than k is zero padded
+        short = x[: k // 2 + 1]
+        exp = _cyclic_mul_reference(first, short, k, 2)
+        assert tuple(algebra._packed_product(terms, algebra.gf2_bits(short), k)) == exp
 
 
 # sha256 of the generator columns, one line of digits per column, as the
@@ -410,6 +438,40 @@ def test_one_word_input_forms(q):
     for bad in (tuple(w[:-1]), list(w) + [0], np.array(w[1:]), []):
         with pytest.raises(ValueError, match="word must have length 36"):
             design_decode(code, bad)
+
+
+ENCODERS = {
+    "sidon-2": (dc_encode, lambda: build_sidon_dc(2, 242, sidon_for_length(242))),
+    "sidon-3": (dc_encode, lambda: build_sidon_dc(3, 11, (0, 1, 3))),
+    "rm-dc": (cyc_dc_encode, lambda: build_rm_dual_dc(4)),
+    "wozencraft-2": (weldon_encode, lambda: build_wozencraft(2, 19, (1, 8, 14))[0]),
+    "wozencraft-3": (weldon_encode, lambda: build_wozencraft(3, 7, (0, 1, 6))[0]),
+}
+
+
+@pytest.mark.parametrize("family", list(ENCODERS))
+def test_encode_input_forms(family):
+    # tuples, lists, int64 arrays, negatives and symbols >= 256 all encode as
+    # the reduced message, into a tuple of Python ints
+    encode, build = ENCODERS[family]
+    code = build()
+    q, k = code.q, code.code.k
+    rng = random.Random(family)
+    for _ in range(3):
+        msg = [rng.randrange(q) for _ in range(k)]
+        expected = code.code.encode(msg)
+        lifted = [v + q * rng.choice((-3, -1, 0, 200, 1000)) for v in msg]
+        forms = [
+            tuple(msg), list(msg), np.array(msg), [np.int64(v) for v in msg],
+            [v - q for v in msg], tuple(lifted), np.array(lifted),
+        ]
+        for form in forms:
+            out = encode(code, form)
+            assert type(out) is tuple and out == expected
+            assert all(type(v) is int for v in out)
+    for bad in (tuple(msg[:-1]), list(msg) + [0], np.array(msg[1:])):
+        with pytest.raises(ValueError, match=f"message must have length {k}"):
+            encode(code, bad)
 
 
 def _run_script(script: str, timeout: float) -> dict:
