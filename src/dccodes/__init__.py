@@ -6,7 +6,6 @@ undoing the fold.
 
 from .algebra import (
     BinaryExtensionField,
-    Polynomial,
     PrimeField,
     QuotientFieldContext,
     build_gf2m,

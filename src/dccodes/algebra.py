@@ -1,17 +1,21 @@
 """Finite-field and polynomial arithmetic.
 
 Everything downstream builds on this module: prime fields F_q with int-valued
-elements, dense univariate polynomials in low-degree-first order, binary
-extension fields GF(2^m) on bitmask ints, and the quotient ring
-F_q[x] / (1 + x + ... + x^(k-1)), which is a field exactly when k is prime
-and q is a primitive root mod k.
+elements, polynomials over them, binary extension fields GF(2^m) on bitmask
+ints, and the quotient ring F_q[x] / (1 + x + ... + x^(k-1)), which is a
+field exactly when k is prime and q is a primitive root mod k.
+
+A polynomial over F_q is a 1-D int64 array of its coefficients in [0, q),
+lowest degree first, with trailing zeros stripped, so the zero polynomial is
+the empty array. poly_mul, poly_divmod, poly_gcd, poly_reverse and
+poly_irreducible take such arrays (any int sequence is read into one) plus q.
 
 circulant_product computes every circulant (cyclic convolution) product:
-the circulant blocks of every family, cyclic_mul and the rm-dc division by
-the check polynomial. A single q=2 vector is packed into one Python int and
-multiplied by gf2_circulant, the one GF(2) circulant kernel, which the Sidon
-majority decoder shares; batches and every q > 2 take one numpy slice-add
-per nonzero term.
+the circulant blocks of every family, cyclic_mul, poly_mul and the rm-dc
+division by the check polynomial. A single q=2 vector is packed into one
+Python int and multiplied by gf2_circulant, the one GF(2) circulant kernel,
+which the Sidon majority decoder shares; batches and every q > 2 take one
+numpy slice-add per nonzero term.
 
 The quotient-ring section validates (q, k) and keeps reference arithmetic
 (reduce_mod_pk, quotient_mul) for the tests; the Wozencraft codes compute
@@ -21,14 +25,11 @@ their products as folds of circulant products, in weldon.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
-from functools import cached_property, lru_cache
-from typing import Iterator, Sequence
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
-
-# Degree of the zero polynomial: compares below every integer.
-NEG_INF = float("-inf")
 
 
 def is_prime(n: int) -> bool:
@@ -70,162 +71,6 @@ class PrimeField:
     def __post_init__(self) -> None:
         if not is_prime(self.q):
             raise ValueError(f"field size must be prime, got {self.q}")
-
-    def inv(self, a: int) -> int:
-        if a % self.q == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.q - 2, self.q)
-
-
-@dataclass(frozen=True)
-class Polynomial:
-    """Dense polynomial over a prime field, coefficients low degree first.
-
-    The representation is canonical: coefficients are reduced mod q and
-    trailing zeros are stripped, so the zero polynomial is the empty tuple
-    and equality is plain tuple equality. degree of the zero polynomial is
-    NEG_INF, which compares below every int.
-    """
-
-    coeffs: tuple[int, ...]
-    field: PrimeField
-
-    def __post_init__(self) -> None:
-        q = self.field.q
-        c = [v % q for v in self.coeffs]
-        while c and c[-1] == 0:
-            c.pop()
-        object.__setattr__(self, "coeffs", tuple(c))
-
-    @cached_property
-    def terms(self) -> tuple[tuple[int, int], ...]:
-        """(exponent, coefficient) of every nonzero coefficient."""
-        return tuple((i, c) for i, c in enumerate(self.coeffs) if c)
-
-    @property
-    def degree(self) -> int | float:
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def leading_coefficient(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero():
-            raise ValueError("cannot normalize the zero polynomial")
-        lc = self.leading_coefficient()
-        if lc == 1:
-            return self
-        s = self.field.inv(lc)
-        return Polynomial(tuple(v * s for v in self.coeffs), self.field)
-
-    def padded(self, length: int) -> tuple[int, ...]:
-        """Coefficients padded with zeros up to the given length."""
-        if len(self.coeffs) > length:
-            raise ValueError(f"degree too high to pad to length {length}")
-        return self.coeffs + (0,) * (length - len(self.coeffs))
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, v in enumerate(b):
-            out[i] += v
-        return Polynomial(tuple(out), self.field)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
-        out = list(self.coeffs) + [0] * max(0, len(other.coeffs) - len(self.coeffs))
-        for i, v in enumerate(other.coeffs):
-            out[i] -= v
-        return Polynomial(tuple(out), self.field)
-
-    def __mod__(self, other: "Polynomial") -> "Polynomial":
-        return poly_divmod(self, other)[1]
-
-    def _check(self, other: "Polynomial") -> None:
-        if self.field != other.field:
-            raise ValueError("polynomials over different fields")
-
-    @classmethod
-    def zero(cls, field: PrimeField) -> "Polynomial":
-        return cls((), field)
-
-    @classmethod
-    def one(cls, field: PrimeField) -> "Polynomial":
-        return cls((1,), field)
-
-    @classmethod
-    def x_power(cls, field: PrimeField, e: int) -> "Polynomial":
-        return cls((0,) * e + (1,), field)
-
-
-def poly_mul(f: Polynomial, g: Polynomial) -> Polynomial:
-    f._check(g)
-    if f.is_zero() or g.is_zero():
-        return Polynomial.zero(f.field)
-    q = f.field.q
-    out = [0] * (len(f.coeffs) + len(g.coeffs) - 1)
-    for i, a in enumerate(f.coeffs):
-        if a == 0:
-            continue
-        for j, b in enumerate(g.coeffs):
-            if b:
-                out[i + j] = (out[i + j] + a * b) % q
-    return Polynomial(tuple(out), f.field)
-
-
-def poly_divmod(f: Polynomial, g: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """Quotient and remainder with deg(remainder) < deg(g).
-
-    Raises ZeroDivisionError when g is zero.
-    """
-    f._check(g)
-    if g.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    q = f.field.q
-    dg = len(g.coeffs) - 1
-    rem = list(f.coeffs)
-    if len(rem) <= dg:
-        return Polynomial.zero(f.field), f
-    quot = [0] * (len(rem) - dg)
-    inv_lc = f.field.inv(g.coeffs[-1])
-    for top in range(len(rem) - 1, dg - 1, -1):
-        c = rem[top] % q
-        if c == 0:
-            continue
-        factor = (c * inv_lc) % q
-        quot[top - dg] = factor
-        for j, gv in enumerate(g.coeffs):
-            rem[top - dg + j] = (rem[top - dg + j] - factor * gv) % q
-    return Polynomial(tuple(quot), f.field), Polynomial(tuple(rem[:dg]), f.field)
-
-
-def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Monic gcd; gcd(0, 0) is the zero polynomial."""
-    f._check(g)
-    while not g.is_zero():
-        f, g = g, f % g
-    return f if f.is_zero() else f.monic()
-
-
-def poly_reverse(h: Polynomial, k: int) -> Polynomial:
-    """Coefficient reversal at degree bound k: x^k * h(1/x).
-
-    The coefficient sequence is padded to length k+1, reversed, and
-    re-canonicalized. Applying the same bound twice is the identity.
-    """
-    if h.degree > k:
-        raise ValueError(f"degree {h.degree} exceeds reversal bound {k}")
-    if k < 0:
-        raise ValueError("reversal bound must be non-negative")
-    return Polynomial(tuple(reversed(h.padded(k + 1))), h.field)
 
 
 def reduce_mod(x: np.ndarray, q: int) -> np.ndarray:
@@ -351,25 +196,98 @@ def circulant_product(terms: Sequence[tuple[int, int]], x, q: int) -> np.ndarray
 
 
 def cyclic_mul(
-    a: Polynomial, m: Polynomial | Sequence[int] | np.ndarray, k: int
+    terms: Sequence[tuple[int, int]], m: Sequence[int] | np.ndarray, k: int, q: int
 ) -> tuple[int, ...]:
-    """Coefficient vector of a(x)*m(x) mod x^k - 1, as a length-k tuple.
+    """Coefficient vector of a(x)*m(x) mod x^k - 1 over F_q, as a length-k tuple.
 
-    m is a Polynomial over a's field, or a coefficient sequence or array of
-    length at most k. The product is circulant_product of the circulant whose
-    first column holds the coefficients of a; at q=2 it runs the packed
-    regime, and the tuple comes straight from the product's bytes.
+    a is given by its terms, the (exponent, coefficient) pairs of its nonzero
+    coefficients in increasing exponent, as CirculantMatrix.terms holds them;
+    m is a coefficient sequence or array of length at most k. The product is
+    circulant_product of the circulant whose first column holds the
+    coefficients of a; at q=2 it runs the packed regime, and the tuple comes
+    straight from the product's bytes.
     """
-    if isinstance(m, Polynomial):
-        a._check(m)
-        m = m.coeffs
-    if a.degree >= k or len(m) > k:
+    if len(m) > k or terms and terms[-1][0] >= k:
         raise ValueError(f"operands must have degree below {k}")
-    if a.field.q == 2:
-        return tuple(_packed_product(a.terms, gf2_bits(m), k).tobytes())
+    if q == 2:
+        return tuple(_packed_product(terms, gf2_bits(m), k).tobytes())
     x = np.zeros(k, dtype=np.int64)
     x[: len(m)] = m
-    return tuple(circulant_product(a.terms, x, a.field.q).tolist())
+    return tuple(circulant_product(terms, x, q).tolist())
+
+
+# ---------------------------------------------------------------------------
+# Univariate polynomials: int64 coefficient arrays, lowest degree first
+# ---------------------------------------------------------------------------
+
+
+def _canon(f, q: int) -> np.ndarray:
+    """f as a polynomial over F_q: int64, reduced into [0, q), no trailing zeros."""
+    f = reduce_mod(np.asarray(f, dtype=np.int64), q)
+    nonzero = np.flatnonzero(f)
+    return f[: nonzero[-1] + 1 if len(nonzero) else 0]
+
+
+def _terms(f: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """(exponent, coefficient) of every nonzero coefficient of f, the
+    column form circulant_product and cyclic_mul take."""
+    return tuple((int(i), int(f[i])) for i in np.flatnonzero(f))
+
+
+def _monic(f: np.ndarray, q: int) -> np.ndarray:
+    """The nonzero polynomial f scaled to leading coefficient 1."""
+    return f * pow(int(f[-1]), -1, q) % q
+
+
+def poly_mul(f, g, q: int) -> np.ndarray:
+    """f*g over F_q, exact; like circulant_product, it raises ValueError
+    when q is so large that (q-1) * sum(f) could overflow int64."""
+    f, g = _canon(f, q), _canon(g, q)
+    if not len(f) or not len(g):
+        return f[:0]
+    # the cyclic product on deg f + deg g + 1 points is the linear product
+    return circulant_product(_terms(f), np.pad(g, (0, len(f) - 1)), q)
+
+
+def poly_divmod(f, g, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Quotient and remainder of f by g over F_q, with deg(remainder) < deg(g).
+
+    Long division, one numpy update of deg(g) + 1 coefficients per quotient
+    coefficient. Raises ZeroDivisionError when g is zero.
+    """
+    rem, g = _canon(f, q), _canon(g, q)  # a fresh array, reduced in place
+    if not len(g):
+        raise ZeroDivisionError("polynomial division by zero")
+    dg = len(g) - 1
+    quot = np.zeros(max(len(rem) - dg, 0), dtype=np.int64)
+    inv_lc = pow(int(g[-1]), -1, q)
+    for top in range(len(rem) - 1, dg - 1, -1):
+        c = int(rem[top]) * inv_lc % q
+        if c:
+            quot[top - dg] = c
+            # c*g < q^2 <= 2^62 for every q the package accepts
+            rem[top - dg : top + 1] = reduce_mod(rem[top - dg : top + 1] - c * g, q)
+    return quot, _canon(rem[:dg], q)
+
+
+def poly_gcd(f, g, q: int) -> np.ndarray:
+    """Monic gcd over F_q; gcd(0, 0) is the zero polynomial."""
+    f, g = _canon(f, q), _canon(g, q)
+    while len(g):
+        f, g = g, poly_divmod(f, g, q)[1]
+    return _monic(f, q) if len(f) else f
+
+
+def poly_reverse(h, k: int, q: int) -> np.ndarray:
+    """Coefficient reversal at degree bound k: x^k * h(1/x).
+
+    The coefficients are padded to length k+1, reversed, and trailing zeros
+    stripped. Applying the same bound twice is the identity.
+    """
+    h = _canon(h, q)
+    if len(h) > k + 1:
+        raise ValueError(f"degree {len(h) - 1} exceeds reversal bound {k}")
+    return _canon(np.pad(h, (0, k + 1 - len(h)))[::-1], q)
 
 
 # ---------------------------------------------------------------------------
@@ -377,19 +295,19 @@ def cyclic_mul(
 # ---------------------------------------------------------------------------
 
 
-def _pow_mod(base: Polynomial, e: int, mod: Polynomial) -> Polynomial:
-    result = Polynomial.one(base.field)
-    base = base % mod
+def _pow_mod(base: np.ndarray, e: int, mod: np.ndarray, q: int) -> np.ndarray:
+    result = np.ones(1, dtype=np.int64)
+    base = poly_divmod(base, mod, q)[1]
     while e:
         if e & 1:
-            result = poly_mul(result, base) % mod
-        base = poly_mul(base, base) % mod
+            result = poly_divmod(poly_mul(result, base, q), mod, q)[1]
+        base = poly_divmod(poly_mul(base, base, q), mod, q)[1]
         e >>= 1
     return result
 
 
-def poly_irreducible(f: Polynomial) -> bool:
-    """Decide whether f is irreducible over its prime field.
+def poly_irreducible(f, q: int) -> bool:
+    """Decide whether f is irreducible over F_q.
 
     f is reducible iff it shares a factor with x^(q^d) - x for some
     d <= deg(f)/2, since that product covers exactly the irreducibles of
@@ -397,18 +315,17 @@ def poly_irreducible(f: Polynomial) -> bool:
     therefore the same test as trial division by all monic polynomials of
     degree up to deg(f)/2, done in batches.
     """
-    deg = f.degree
+    f = _canon(f, q)
+    deg = len(f) - 1
     if deg < 1:
         raise ValueError("irreducibility is only defined for degree >= 1")
-    if deg == 1:
-        return True
-    f = f.monic()
-    q = f.field.q
-    x = Polynomial.x_power(f.field, 1)
-    u = x
+    f = _monic(f, q)
+    u = np.array([0, 1], dtype=np.int64)
     for _ in range(deg // 2):
-        u = _pow_mod(u, q, f)
-        if poly_gcd(f, u - x).degree != 0:
+        u = _pow_mod(u, q, f, q)
+        u_minus_x = np.pad(u, (0, max(2 - len(u), 0)))
+        u_minus_x[1] -= 1
+        if len(poly_gcd(f, u_minus_x, q)) != 1:
             return False
     return True
 
@@ -471,7 +388,6 @@ def _gf2m_mul(m: int, mod_int: int, a: int, b: int) -> int:
 
 def _gf2m_pow(m: int, mod_int: int, a: int, e: int) -> int:
     res = 1
-    a %= 1 << m  # no-op guard; elements already fit
     while e:
         if e & 1:
             res = _gf2m_mul(m, mod_int, res, a)
@@ -495,24 +411,22 @@ def _gf2m_order(m: int, mod_int: int, a: int) -> int:
 class BinaryExtensionField:
     """GF(2^m) with elements as bitmask ints; bit i is the coefficient of x^i.
 
-    modulus is the irreducible degree-m polynomial defining the field and
-    generator is an element of multiplicative order 2^m - 1. Both are
-    re-verified at construction.
+    modulus is the irreducible degree-m polynomial defining the field, as a
+    bitmask int in the same convention, and generator is an element of
+    multiplicative order 2^m - 1. Both are re-verified at construction.
     """
 
     m: int
-    modulus: Polynomial
+    modulus: int
     generator: int
-    _mod_int: int = dc_field(init=False, repr=False, compare=False, default=0)
 
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ValueError("m must be at least 1")
-        if self.modulus.degree != self.m or not poly_irreducible(self.modulus):
+        if self.modulus >> self.m != 1 or not poly_irreducible(
+            unpack_bits(self.modulus, self.m + 1), 2
+        ):
             raise ValueError("modulus must be irreducible of degree m")
-        object.__setattr__(
-            self, "_mod_int", sum(c << i for i, c in enumerate(self.modulus.coeffs))
-        )
         order = (1 << self.m) - 1
         if not 0 < self.generator < (1 << self.m):
             raise ValueError("generator out of range")
@@ -520,40 +434,36 @@ class BinaryExtensionField:
             raise ValueError("generator does not have full multiplicative order")
 
     def mul(self, a: int, b: int) -> int:
-        return _gf2m_mul(self.m, self._mod_int, a, b)
+        return _gf2m_mul(self.m, self.modulus, a, b)
 
     def element_order(self, a: int) -> int:
-        return _gf2m_order(self.m, self._mod_int, a)
+        return _gf2m_order(self.m, self.modulus, a)
 
 
 @lru_cache(maxsize=None)
 def build_gf2m(m: int) -> BinaryExtensionField:
     """GF(2^m) with a deterministic modulus and generator.
 
-    The modulus is the lexicographically least irreducible monic polynomial of
-    degree m with nonzero constant term, comparing coefficient tuples low
-    degree first as binary ints (the constant term is the lowest bit); the
-    generator is the least element of full multiplicative order.
+    The modulus is the least irreducible monic polynomial of degree m with
+    nonzero constant term, compared as bitmask ints (the constant term is
+    the lowest bit); the generator is the least element of full
+    multiplicative order.
     """
     if not 1 <= m <= 20:
         raise ValueError("m must be in 1..20")
-    f2 = PrimeField(2)
-    modulus = None
     # Only odd ints encode candidates: a zero constant term means x divides
     # the polynomial, and the convention requires a nonzero constant term.
-    for c in range(1, 1 << m, 2):
-        cand = Polynomial(tuple((c >> i) & 1 for i in range(m)) + (1,), f2)
-        if poly_irreducible(cand):
-            modulus = cand
-            break
+    candidates = range((1 << m) + 1, 1 << (m + 1), 2)
+    modulus = next(
+        (c for c in candidates if poly_irreducible(unpack_bits(c, m + 1), 2)), None
+    )
     if modulus is None:
         raise AssertionError(f"no irreducible polynomial of degree {m} found")
     order = (1 << m) - 1
     generator = 1
     if m > 1:
-        mod_int = sum(c << i for i, c in enumerate(modulus.coeffs))
         for g in range(2, 1 << m):
-            if _gf2m_order(m, mod_int, g) == order:
+            if _gf2m_order(m, modulus, g) == order:
                 generator = g
                 break
     return BinaryExtensionField(m, modulus, generator)
@@ -566,20 +476,20 @@ def build_gf2m(m: int) -> BinaryExtensionField:
 
 @dataclass(frozen=True)
 class QuotientFieldContext:
-    """The field H = F_q[x] / p_k(x) with p_k = 1 + x + ... + x^(k-1).
+    """Validated parameters of the field H = F_q[x] / p_k(x), where
+    p_k = 1 + x + ... + x^(k-1).
 
-    Requires k prime and q a primitive root mod k. That makes p_k
+    Requires q prime, k prime and q a primitive root mod k. That makes p_k
     irreducible: it is the k-th cyclotomic polynomial, and each of its
     factors over F_q has degree ord_k(q) = k-1 (Lidl-Niederreiter, Thm
-    2.47). Elements are coefficient tuples of length k-1.
+    2.47). Elements of H are coefficient arrays of length k-1.
     """
 
     q: int
     k: int
-    field: PrimeField = dc_field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "field", PrimeField(self.q))
+        PrimeField(self.q)
         if not is_prime(self.k):
             raise ValueError(f"k must be prime, got {self.k}")
         if math.gcd(self.q, self.k) != 1:
@@ -587,52 +497,26 @@ class QuotientFieldContext:
         if not is_primitive_root(self.q, self.k):
             raise ValueError(f"{self.q} is not a primitive root mod {self.k}")
 
-    def p_k(self) -> Polynomial:
-        return Polynomial((1,) * self.k, self.field)
 
-    def zero(self) -> tuple[int, ...]:
-        return (0,) * (self.k - 1)
-
-    def one(self) -> tuple[int, ...]:
-        return (1,) + (0,) * (self.k - 2)
-
-    def lift(self, element: Sequence[int]) -> Polynomial:
-        if len(element) != self.k - 1:
-            raise ValueError(f"element must have length {self.k - 1}")
-        return Polynomial(tuple(element), self.field)
-
-    def elements(self) -> Iterator[tuple[int, ...]]:
-        import itertools
-
-        return (
-            tuple(reversed(digits))
-            for digits in itertools.product(range(self.q), repeat=self.k - 1)
-        )
-
-
-def reduce_mod_pk(f: Polynomial, ctx: QuotientFieldContext) -> tuple[int, ...]:
-    """Remainder of f modulo p_k, as a length-(k-1) coefficient tuple.
+def reduce_mod_pk(f, ctx: QuotientFieldContext) -> np.ndarray:
+    """Remainder of f, of degree below k, modulo p_k: a length-(k-1) int64 array.
 
     Uses the identity x^(k-1) = -(1 + x + ... + x^(k-2)) mod p_k: pad f to
     length k, subtract the top coefficient from every position, drop the top.
     """
-    if f.degree >= ctx.k:
+    f = _canon(f, ctx.q)
+    if len(f) > ctx.k:
         raise ValueError(f"degree must be below {ctx.k}")
-    padded = f.padded(ctx.k)
-    last = padded[-1]
-    q = ctx.q
-    return tuple((c - last) % q for c in padded[: ctx.k - 1])
+    padded = np.pad(f, (0, ctx.k - len(f)))
+    return reduce_mod(padded[:-1] - padded[-1], ctx.q)
 
 
-def quotient_mul(
-    u: Sequence[int], v: Sequence[int], ctx: QuotientFieldContext
-) -> tuple[int, ...]:
-    """Product of two elements of H = F_q[x]/p_k.
+def quotient_mul(u, v, ctx: QuotientFieldContext) -> np.ndarray:
+    """Product of two elements of H = F_q[x]/p_k, each of length k-1.
 
     Computed by multiplying mod x^k - 1 first and then reducing; p_k divides
     x^k - 1, so the composite agrees with direct reduction mod p_k.
     """
-    fu = ctx.lift(u)
-    fv = ctx.lift(v)
-    w = cyclic_mul(fu, fv, ctx.k)
-    return reduce_mod_pk(Polynomial(w, ctx.field), ctx)
+    if len(u) != ctx.k - 1 or len(v) != ctx.k - 1:
+        raise ValueError(f"element must have length {ctx.k - 1}")
+    return reduce_mod_pk(cyclic_mul(_terms(_canon(u, ctx.q)), v, ctx.k, ctx.q), ctx)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import random
 import sys
 import time
@@ -201,6 +202,25 @@ _FAMILY_SPECS = {
 }
 FAMILIES = tuple(_FAMILY_SPECS)
 
+# Ceilings, checked before any build or primality test (is_prime
+# trial-divides up to sqrt(q)). Up to q = 2^31 - 1 every symbol, product and
+# column_majority key fits in int64. _max_k keeps a build plus one decode at
+# full capability below ~0.4 GB RSS (measured, README): sidon-dc decodes q=2
+# on packed ints and q > 2 on a (d, k) int64 vote array, and a wozencraft
+# gap instance's flip-one decode holds (2k)^2 (q-1) trial symbols.
+_MAX_Q = 2**31 - 1
+
+
+def _max_k(family: str, q: int) -> int:
+    if family == "sidon-dc":
+        return 10**6 if q == 2 else 10**5
+    return math.isqrt(2 * 10**6 // (q - 1))
+
+
+def _check_field_size(q: int) -> None:
+    if q > _MAX_Q:
+        raise ValueError(f"q must be at most 2^31 - 1 = {_MAX_Q}, got {q}")
+
 
 def _is_int(value) -> bool:
     return type(value) is int  # JSON true/false load as bools, not ints
@@ -211,7 +231,8 @@ def build_family(family, params: dict) -> LoadedCode:
 
     Every parameter is an int except sidon, a list of ints; optional ones
     may be None. Any other family or value type is a ValueError, so a
-    malformed descriptor is reported rather than crashing a builder.
+    malformed descriptor is reported rather than crashing a builder, and so
+    is a q or k above its ceiling (_MAX_Q, _max_k).
     """
     if not isinstance(family, str) or family not in _FAMILY_SPECS:
         raise ValueError(f"unknown family {family!r}")
@@ -230,6 +251,13 @@ def build_family(family, params: dict) -> LoadedCode:
             kind = "an integer"
         if not ok:
             raise ValueError(f"{family}: {name} must be {kind}, got {value!r}")
+    if "q" in args:  # sidon-dc and wozencraft, checked before the build
+        q, k = args["q"], args["k"]
+        _check_field_size(q)
+        if q >= 2 and k > _max_k(family, q):  # a smaller q fails in the build
+            raise ValueError(
+                f"{family}: k must be at most {_max_k(family, q)} for q={q}, got {k}"
+            )
     return builder(**args)
 
 
@@ -281,10 +309,11 @@ def _read_words(
             line = line.strip()
             if not line:
                 continue
-            try:
-                symbols = tuple(int(tok) for tok in line.split())
-            except ValueError:
+            tokens = line.split()
+            # int() alone would also take "1_0", "+3" and non-ASCII digits
+            if not line.isascii() or not all(map(str.isdigit, tokens)):
                 raise ValueError(f"line {lineno}: non-integer symbol in {what}")
+            symbols = tuple(map(int, tokens))
             if len(symbols) != length:
                 raise ValueError(
                     f"line {lineno}: expected {length} symbols, got {len(symbols)}"
@@ -411,6 +440,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_params_find_k(args) -> int:
     try:
+        _check_field_size(args.q)
         k = find_wozencraft_k(args.q, args.min, args.limit)
     except (ValueError, LookupError) as exc:
         print(f"params: {exc}", file=sys.stderr)

@@ -69,7 +69,7 @@ class CyclicDCCode(IdentityOverCirculants):
             raise ValueError("need both a base decoder and a dual decoder")
         if d < 1 or d_perp < 1:
             raise ValueError("distance parameters must be positive")
-        super().__init__(base.q, base.n, [base.g.padded(base.n)])
+        super().__init__(base.q, base.n, [np.pad(base.g, (0, base.n - len(base.g)))])
         self.base = base
         self.d = d
         self.d_perp = d_perp

@@ -3,7 +3,8 @@
 A cyclic code of length n over F_q is an ideal of F_q[x]/(x^n - 1) and is
 determined by its unique monic generator g dividing x^n - 1. The dual is
 again cyclic, generated by the coefficient reversal of the check polynomial
-h = (x^n - 1)/g.
+h = (x^n - 1)/g. g and h are held as algebra holds every polynomial: int64
+coefficient arrays, lowest degree first; h comes from one poly_divmod.
 """
 
 from __future__ import annotations
@@ -16,8 +17,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .algebra import (
-    Polynomial,
     PrimeField,
+    _canon,
+    _monic,
+    _terms,
     circulant_product,
     poly_divmod,
     poly_mul,
@@ -27,51 +30,58 @@ from .algebra import (
 from .code_core import GeneratorMatrixCode, _rref
 
 
-def _x_n_minus_1(field: PrimeField, n: int) -> Polynomial:
-    return Polynomial((-1,) + (0,) * (n - 1) + (1,), field)
+def _x_n_minus_1(q: int, n: int) -> np.ndarray:
+    f = np.zeros(n + 1, dtype=np.int64)
+    f[0], f[n] = q - 1, 1
+    return f
 
 
 @dataclass(frozen=True)
 class CyclicCode:
     """Length-n cyclic code over F_q with monic generator g | x^n - 1.
 
-    h is derived at construction and satisfies g*h = x^n - 1.
+    g is read into a polynomial array (reduced mod q) and h is derived at
+    construction, with g*h = x^n - 1; both arrays are read-only. A code is
+    a value: equality and hashing go by q, n and the bytes of g, which
+    determine h, never by the arrays themselves.
     """
 
     q: int
     n: int
-    g: Polynomial
-    h: Polynomial = dc_field(init=False)
+    g: np.ndarray = dc_field(compare=False)
+    h: np.ndarray = dc_field(init=False, compare=False)
+    _g_bytes: bytes = dc_field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        field = PrimeField(self.q)
+        PrimeField(self.q)
         if self.n < 1:
             raise ValueError("length must be positive")
-        if self.g.field != field:
-            raise ValueError("generator field does not match q")
-        if self.g.is_zero() or self.g.leading_coefficient() != 1:
+        g = _canon(self.g, self.q)
+        if not len(g) or g[-1] != 1:
             raise ValueError("generator must be monic")
-        quot, rem = poly_divmod(_x_n_minus_1(field, self.n), self.g)
-        if not rem.is_zero():
-            raise ValueError(f"{self.g.coeffs} does not divide x^{self.n} - 1")
-        object.__setattr__(self, "h", quot)
+        h, rem = poly_divmod(_x_n_minus_1(self.q, self.n), g, self.q)
+        if len(rem):
+            raise ValueError(f"{g.tolist()} does not divide x^{self.n} - 1")
+        for name, f in (("g", g), ("h", h)):
+            f.flags.writeable = False
+            object.__setattr__(self, name, f)
+        object.__setattr__(self, "_g_bytes", g.tobytes())
 
     @property
     def k(self) -> int:
-        return self.n - int(self.g.degree)
+        return self.n - (len(self.g) - 1)
 
-    @property
-    def field(self) -> PrimeField:
-        return self.g.field
+    @cached_property
+    def _h_terms(self) -> tuple[tuple[int, int], ...]:
+        return _terms(self.h)
 
     @cached_property
     def generator_code(self) -> GeneratorMatrixCode:
         """Matrix view: columns are the coefficients of g(x)*x^i, i < k."""
-        cols = []
+        cols = np.zeros((self.k, self.n), dtype=np.int64)
         for i in range(self.k):
-            shifted = Polynomial((0,) * i + self.g.coeffs, self.field)
-            cols.append(shifted.padded(self.n))
-        return GeneratorMatrixCode(self.q, cols, n=self.n)
+            cols[i, i : i + len(self.g)] = self.g
+        return GeneratorMatrixCode(self.q, cols.tolist(), n=self.n)
 
     def quotient(self, c: Sequence[int]) -> Optional[np.ndarray]:
         """r with c = r*g, padded to length n, or None when c is no codeword.
@@ -85,15 +95,14 @@ class CyclicCode:
         padded = np.zeros(2 * n, dtype=np.int64)
         padded[:n] = c
         # 2n-point cyclic product of operands of degree < n: the linear product
-        prod = circulant_product(self.h.terms, padded, q)
+        prod = circulant_product(self._h_terms, padded, q)
         r = prod[n:]
         return None if reduce_mod(prod[:n] + r, q).any() else r
 
 
 def dual_code(c: CyclicCode) -> CyclicCode:
     """The dual, generated by the reversal of h at degree bound k = dim(C)."""
-    rev = poly_reverse(c.h, c.k)
-    return CyclicCode(c.q, c.n, rev.monic())
+    return CyclicCode(c.q, c.n, _monic(poly_reverse(c.h, c.k, c.q), c.q))
 
 
 def generator_from_spanning_set(
@@ -119,18 +128,14 @@ def generator_from_spanning_set(
     _, piv2 = _rref(np.vstack([basis, np.roll(basis, 1, axis=1)]), q)
     if len(piv2) != len(piv):
         raise ValueError("span is not closed under cyclic shift")
-    field = PrimeField(q)
-    if piv:
-        code = CyclicCode(q, n, Polynomial(tuple(basis[-1, ::-1].tolist()), field))
-    else:
-        code = CyclicCode(q, n, _x_n_minus_1(field, n))
+    code = CyclicCode(q, n, basis[-1, ::-1] if piv else _x_n_minus_1(q, n))
     if code.k != len(piv):
         # cannot happen once shift-closure holds; guards the generator read
         raise AssertionError("span rank disagrees with generator degree")
     return code
 
 
-def factor_x_n_minus_1(q: int, n: int) -> list[tuple[Polynomial, int]]:
+def factor_x_n_minus_1(q: int, n: int) -> list[tuple[np.ndarray, int]]:
     """Irreducible factorization of x^n - 1 over F_q, with multiplicities.
 
     Trial division in increasing candidate degree; any composite candidate
@@ -140,37 +145,31 @@ def factor_x_n_minus_1(q: int, n: int) -> list[tuple[Polynomial, int]]:
     """
     if not 1 <= n <= 24:
         raise ValueError("n must be in 1..24")
-    field = PrimeField(q)
-    f = _x_n_minus_1(field, n)
-    factors: list[tuple[Polynomial, int]] = []
+    f = _x_n_minus_1(q, n)
+    factors: list[tuple[np.ndarray, int]] = []
     deg = 1
-    while f.degree >= 1:
-        if deg > f.degree:
+    while len(f) > 1:
+        if deg >= len(f):
             raise AssertionError("factor scan exceeded remaining degree")
         for idx in range(q**deg):
-            coeffs = []
-            v = idx
-            for _ in range(deg):
-                coeffs.append(v % q)
-                v //= q
-            cand = Polynomial(tuple(coeffs) + (1,), field)
+            cand = np.array([idx // q**i % q for i in range(deg)] + [1], dtype=np.int64)
             mult = 0
             while True:
-                quot, rem = poly_divmod(f, cand)
-                if not rem.is_zero():
+                quot, rem = poly_divmod(f, cand, q)
+                if len(rem):
                     break
                 f = quot
                 mult += 1
             if mult:
                 factors.append((cand, mult))
-            if f.degree < deg:
+            if len(f) <= deg:
                 break
         deg += 1
     return factors
 
 
 def max_irreducible_factor_degree(q: int, n: int) -> int:
-    return max(int(p.degree) for p, _ in factor_x_n_minus_1(q, n))
+    return max(len(p) - 1 for p, _ in factor_x_n_minus_1(q, n))
 
 
 def enumerate_cyclic_codes(q: int, n: int) -> list[CyclicCode]:
@@ -179,12 +178,11 @@ def enumerate_cyclic_codes(q: int, n: int) -> list[CyclicCode]:
     Includes the two trivial codes (g = 1 and g = x^n - 1).
     """
     factors = factor_x_n_minus_1(q, n)
-    field = PrimeField(q)
     codes = []
     for exps in itertools.product(*(range(m + 1) for _, m in factors)):
-        g = Polynomial.one(field)
+        g = np.ones(1, dtype=np.int64)
         for (p, _), e in zip(factors, exps):
             for _ in range(e):
-                g = poly_mul(g, p)
-        codes.append(CyclicCode(q, n, g.monic()))
+                g = poly_mul(g, p, q)
+        codes.append(CyclicCode(q, n, g))
     return codes

@@ -21,6 +21,8 @@ word), and q=2 ones k small ints per row.
 This module also holds the circulant matrix type and the
 identity-over-circulants core that all three families (Sidon, cyclic and
 Wozencraft) are built on; their products run on algebra.circulant_product.
+Each first column lives only in its CirculantMatrix: encode passes the
+circulant's cached terms to algebra.cyclic_mul, one call per block.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import (
-    Polynomial,
     PrimeField,
     circulant_product,
     cyclic_mul,
@@ -152,9 +153,6 @@ class IdentityOverCirculants:
             tuple(int(v) % q for v in col) for col in first_columns
         )
         self.circulants = tuple(CirculantMatrix(k, col) for col in self.first_columns)
-        self._column_polys = tuple(
-            Polynomial(col, self.field) for col in self.first_columns
-        )
         self.t = len(self.first_columns) + 1
 
     @property
@@ -164,9 +162,9 @@ class IdentityOverCirculants:
     def encode(self, m: Sequence[int]) -> Word:
         """Codeword (m, A_1*m, ..., A_(t-1)*m).
 
-        Each block is one cyclic_mul of the message by a column polynomial
-        built with the code. At q=2 the message is reduced to bits once and
-        every block is a product of packed ints, so no int64 array is made.
+        Each block is one cyclic_mul of the message by its circulant's
+        cached terms. At q=2 the message is reduced to bits once and every
+        block is a product of packed ints, so no int64 array is made.
         """
         if len(m) != self.k:
             raise ValueError(f"message must have length {self.k}")
@@ -176,8 +174,8 @@ class IdentityOverCirculants:
         else:
             msg = reduce_mod(np.asarray(m, dtype=np.int64), self.q)
             out = tuple(msg.tolist())
-        for col in self._column_polys:
-            out += cyclic_mul(col, msg, self.k)
+        for a in self.circulants:
+            out += cyclic_mul(a.terms, msg, self.k, self.q)
         return out
 
     @cached_property

@@ -3,13 +3,13 @@ import random
 import numpy as np
 import pytest
 
+import polyref as ref
 from dccodes.algebra import (
-    NEG_INF,
     BinaryExtensionField,
-    Polynomial,
     PrimeField,
     QuotientFieldContext,
     _slice_product,
+    _terms,
     build_gf2m,
     circulant_product,
     cyclic_mul,
@@ -25,13 +25,11 @@ from dccodes.algebra import (
 )
 from dccodes.weldon import build_wozencraft
 
-F2 = PrimeField(2)
-F3 = PrimeField(3)
-F5 = PrimeField(5)
 
-
-def P(coeffs, field):
-    return Polynomial(tuple(coeffs), field)
+def T(f):
+    """A polynomial array as a tuple, for comparison with the reference."""
+    assert isinstance(f, np.ndarray) and f.dtype == np.int64 and f.ndim == 1
+    return tuple(f.tolist())
 
 
 def test_prime_field_rejects_composites():
@@ -42,107 +40,114 @@ def test_prime_field_rejects_composites():
 
 
 def test_polynomial_canonical_form():
-    p = P([1, 0, 1, 0, 0], F2)
-    assert p.coeffs == (1, 0, 1)
-    assert p.degree == 2
-    zero = P([0, 0], F3)
-    assert zero.coeffs == ()
-    assert zero.degree == NEG_INF
-    assert zero.degree < 0
-    assert zero.is_zero()
-
-
-def test_polynomial_padded_and_evaluate():
-    p = P([1, 2], F3)
-    assert p.padded(4) == (1, 2, 0, 0)
-    with pytest.raises(ValueError):
-        p.padded(1)
+    # any int sequence is read mod q with trailing zeros stripped, and every
+    # operation returns that canonical int64 array; zero is the empty array
+    assert T(poly_mul([1, 0, 1, 0, 0], [1], 2)) == (1, 0, 1)
+    assert T(poly_mul([3, -1, 0, 0], [1], 3)) == (0, 2)
+    assert T(poly_mul([0, 0], [1, 2], 3)) == ()
+    quot, rem = poly_divmod([1, 0, 3, 0], [1, 1, 0], 3)
+    assert T(quot) == () and T(rem) == (1,)
+    quot, rem = poly_divmod([0, 1, 1], [1, 1], 2)
+    assert T(quot) == (0, 1) and T(rem) == ()
+    assert T(poly_gcd([0, 0], [0], 5)) == ()
+    assert T(poly_reverse([1, 1, 0, 0], 2, 2)) == (0, 1, 1)
 
 
 def test_poly_mul_examples():
-    one_plus_x = P([1, 1], F2)
-    assert poly_mul(one_plus_x, one_plus_x).coeffs == (1, 0, 1)
-    assert poly_mul(P([1, 1], F3), P([2], F3)).coeffs == (2, 2)
-    assert poly_mul(one_plus_x, P([1, 1, 1], F2)).coeffs == (1, 0, 0, 1)
+    assert T(poly_mul([1, 1], [1, 1], 2)) == (1, 0, 1)
+    assert T(poly_mul([1, 1], [2], 3)) == (2, 2)
+    assert T(poly_mul([1, 1], [1, 1, 1], 2)) == (1, 0, 0, 1)
 
 
 def test_poly_mul_degree_law():
     rng = random.Random(11)
-    for field in (F2, F3, F5):
+    for q in (2, 3, 5):
         for _ in range(50):
-            f = P([rng.randrange(field.q) for _ in range(rng.randrange(1, 6))], field)
-            g = P([rng.randrange(field.q) for _ in range(rng.randrange(1, 6))], field)
-            if f.is_zero() or g.is_zero():
-                assert poly_mul(f, g).is_zero()
+            f = ref.canon([rng.randrange(q) for _ in range(rng.randrange(1, 6))], q)
+            g = ref.canon([rng.randrange(q) for _ in range(rng.randrange(1, 6))], q)
+            prod = poly_mul(f, g, q)
+            assert T(prod) == ref.mul(f, g, q)
+            if not f or not g:
+                assert len(prod) == 0
             else:
-                assert poly_mul(f, g).degree == f.degree + g.degree
+                assert len(prod) - 1 == (len(f) - 1) + (len(g) - 1)
 
 
 def test_poly_divmod_examples():
-    quot, rem = poly_divmod(P([1, 0, 0, 1], F2), P([1, 1], F2))
-    assert quot.coeffs == (1, 1, 1) and rem.is_zero()
-    quot, rem = poly_divmod(P([0, 0, 1], F2), P([1, 1, 1], F2))
-    assert quot.coeffs == (1,) and rem.coeffs == (1, 1)
-    f = P([1, 2, 1], F3)
-    quot, rem = poly_divmod(f, Polynomial.one(F3))
-    assert quot == f and rem.is_zero()
+    quot, rem = poly_divmod([1, 0, 0, 1], [1, 1], 2)
+    assert T(quot) == (1, 1, 1) and T(rem) == ()
+    quot, rem = poly_divmod([0, 0, 1], [1, 1, 1], 2)
+    assert T(quot) == (1,) and T(rem) == (1, 1)
+    quot, rem = poly_divmod([1, 2, 1], [1], 3)
+    assert T(quot) == (1, 2, 1) and T(rem) == ()
+    quot, rem = poly_divmod([1, 1], [1, 0, 1], 2)
+    assert T(quot) == () and T(rem) == (1, 1)
 
 
 def test_poly_divmod_zero_divisor():
     with pytest.raises(ZeroDivisionError):
-        poly_divmod(P([1], F2), Polynomial.zero(F2))
+        poly_divmod([1], [], 2)
+    with pytest.raises(ZeroDivisionError):
+        poly_divmod([1], [0, 3], 3)
 
 
 def test_poly_divmod_round_trip_randomized():
     # f*g + r with deg r < deg g must divide back to exactly (f, r)
     rng = random.Random(23)
     for q in (2, 3, 5):
-        field = PrimeField(q)
         for _ in range(1000):
-            f = P([rng.randrange(q) for _ in range(rng.randrange(0, 7))], field)
-            g = Polynomial.zero(field)
-            while g.is_zero():
-                g = P([rng.randrange(q) for _ in range(rng.randrange(1, 5))], field)
-            r = Polynomial.zero(field)
-            if g.degree > 0:
-                r = P([rng.randrange(q) for _ in range(g.degree)], field)
-            quot, rem = poly_divmod(poly_mul(f, g) + r, g)
-            assert quot == f and rem == r
+            f = ref.canon([rng.randrange(q) for _ in range(rng.randrange(0, 7))], q)
+            g = ()
+            while not g:
+                g = ref.canon([rng.randrange(q) for _ in range(rng.randrange(1, 5))], q)
+            r = ref.canon([rng.randrange(q) for _ in range(len(g) - 1)], q)
+            quot, rem = poly_divmod(ref.add(ref.mul(f, g, q), r, q), g, q)
+            assert T(quot) == f and T(rem) == r
+    # the largest field the CLI takes: unless the remainder is reduced at
+    # every step, a dozen c*g subtractions from one coefficient wrap int64
+    q = 2**31 - 1
+    for _ in range(50):
+        g = ref.canon([rng.randrange(q) for _ in range(12)] + [1], q)
+        f = ref.canon([rng.randrange(q) for _ in range(20)], q)
+        r = ref.canon([rng.randrange(q) for _ in range(12)], q)
+        quot, rem = poly_divmod(ref.add(ref.mul(f, g, q), r, q), g, q)
+        assert T(quot) == f and T(rem) == r
 
 
 def test_poly_gcd_small():
-    g = poly_gcd(P([1, 0, 1], F2), P([1, 1], F2))
-    assert g.coeffs == (1, 1)
-    assert poly_gcd(Polynomial.zero(F2), Polynomial.zero(F2)).is_zero()
+    assert T(poly_gcd([1, 0, 1], [1, 1], 2)) == (1, 1)
+    assert T(poly_gcd([], [], 2)) == ()
     # gcd is monic over F_3
-    g = poly_gcd(P([2, 2], F3), P([2, 2], F3))
-    assert g.coeffs == (1, 1)
+    assert T(poly_gcd([2, 2], [2, 2], 3)) == (1, 1)
 
 
 def test_poly_reverse_examples():
-    assert poly_reverse(P([1, 0, 1], F2), 2).coeffs == (1, 0, 1)
-    assert poly_reverse(P([1, 2], F3), 1).coeffs == (2, 1)
-    assert poly_reverse(P([1, 1], F2), 2).coeffs == (0, 1, 1)
+    assert T(poly_reverse([1, 0, 1], 2, 2)) == (1, 0, 1)
+    assert T(poly_reverse([1, 2], 1, 3)) == (2, 1)
+    assert T(poly_reverse([1, 1], 2, 2)) == (0, 1, 1)
 
 
 def test_poly_reverse_involution_and_errors():
     rng = random.Random(31)
     for _ in range(200):
         q = rng.choice((2, 3, 5))
-        field = PrimeField(q)
-        h = P([rng.randrange(q) for _ in range(rng.randrange(0, 6))], field)
-        k = max(h.degree, 0) + rng.randrange(0, 3)
-        assert poly_reverse(poly_reverse(h, k), k) == h
+        h = ref.canon([rng.randrange(q) for _ in range(rng.randrange(0, 6))], q)
+        k = max(len(h) - 1, 0) + rng.randrange(0, 3)
+        assert T(poly_reverse(poly_reverse(h, k, q), k, q)) == h
     with pytest.raises(ValueError):
-        poly_reverse(P([1, 1, 1], F2), 1)
+        poly_reverse([1, 1, 1], 1, 2)
+    with pytest.raises(ValueError):
+        poly_reverse([1], -1, 2)
 
 
 def test_cyclic_mul_examples():
-    a = P([1, 1], F2)
-    assert cyclic_mul(a, P([0, 1], F2), 3) == (0, 1, 1)
-    assert cyclic_mul(a, P([0, 0, 1], F2), 3) == (1, 0, 1)
-    b = P([1, 0, 2, 1], F3)
-    assert cyclic_mul(b, Polynomial.one(F3), 4) == (1, 0, 2, 1)
+    a = _terms(np.array([1, 1]))
+    assert a == ((0, 1), (1, 1))
+    assert cyclic_mul(a, [0, 1], 3, 2) == (0, 1, 1)
+    assert cyclic_mul(a, (0, 0, 1), 3, 2) == (1, 0, 1)
+    b = _terms(np.array([1, 0, 2, 1]))
+    assert cyclic_mul(b, [1], 4, 3) == (1, 0, 2, 1)
+    assert cyclic_mul((), [1, 2], 4, 3) == (0, 0, 0, 0)
 
 
 def _circulant_reference(a_vec, msgs, k, q):
@@ -156,7 +161,6 @@ def _circulant_reference(a_vec, msgs, k, q):
 
 def test_cyclic_mul_matches_explicit_circulant_exhaustive():
     for q, kmax in ((2, 8), (3, 4)):
-        field = PrimeField(q)
         for k in range(1, kmax + 1):
             vecs = np.array(
                 [[(idx // q**i) % q for i in range(k)] for idx in range(q**k)],
@@ -165,15 +169,14 @@ def test_cyclic_mul_matches_explicit_circulant_exhaustive():
             for a_idx in range(q**k):
                 a_vec = [(a_idx // q**i) % q for i in range(k)]
                 expected = _circulant_reference(a_vec, vecs, k, q)
-                a_poly = P(a_vec, field)
+                a_terms = _terms(np.array(a_vec))
                 for m_row, want in zip(vecs, expected):
-                    got = cyclic_mul(a_poly, P(m_row.tolist(), field), k)
+                    got = cyclic_mul(a_terms, m_row.tolist(), k, q)
                     assert got == tuple(want.tolist())
 
 
 def test_cyclic_mul_matches_explicit_circulant_random_f3():
     rng = random.Random(47)
-    field = PrimeField(3)
     for _ in range(2000):
         k = rng.randrange(5, 9)
         a_vec = [rng.randrange(3) for _ in range(k)]
@@ -181,13 +184,15 @@ def test_cyclic_mul_matches_explicit_circulant_random_f3():
         expected = _circulant_reference(
             a_vec, np.array([m_vec], dtype=np.int64), k, 3
         )[0]
-        got = cyclic_mul(P(a_vec, field), P(m_vec, field), k)
+        got = cyclic_mul(_terms(np.array(a_vec)), m_vec, k, 3)
         assert got == tuple(expected.tolist())
 
 
 def test_cyclic_mul_degree_bounds():
     with pytest.raises(ValueError):
-        cyclic_mul(P([1, 0, 0, 1], F2), P([1], F2), 3)
+        cyclic_mul(((0, 1), (3, 1)), [1], 3, 2)
+    with pytest.raises(ValueError):
+        cyclic_mul(((0, 1),), [1, 0, 0, 1], 3, 3)
 
 
 @pytest.mark.parametrize(
@@ -211,32 +216,32 @@ def test_circulant_product_int64_bound(product):
 
 def test_reduce_mod_pk_examples():
     ctx = QuotientFieldContext(2, 3)
-    assert reduce_mod_pk(P([0, 0, 1], F2), ctx) == (1, 1)
-    assert reduce_mod_pk(Polynomial.zero(F2), ctx) == (0, 0)
-    assert reduce_mod_pk(P([1, 1, 1], F2), ctx) == (0, 0)
+    assert T(reduce_mod_pk([0, 0, 1], ctx)) == (1, 1)
+    assert T(reduce_mod_pk([], ctx)) == (0, 0)
+    assert T(reduce_mod_pk([1, 1, 1], ctx)) == (0, 0)
+    with pytest.raises(ValueError):
+        reduce_mod_pk([0, 0, 0, 1], ctx)
 
 
 def test_reduce_mod_pk_matches_divmod_exhaustive_f2():
     for k in (3, 5, 11, 13):
         ctx = QuotientFieldContext(2, k)
-        pk = ctx.p_k()
+        pk = ref.p_k(ctx)
         for bits in range(1 << k):
-            coeffs = [(bits >> i) & 1 for i in range(k)]
-            f = P(coeffs, F2)
-            rem = poly_divmod(f, pk)[1]
-            assert reduce_mod_pk(f, ctx) == rem.padded(k - 1)
+            f = [(bits >> i) & 1 for i in range(k)]
+            rem = ref.div(f, pk, 2)[1]
+            assert T(reduce_mod_pk(f, ctx)) == ref.padded(rem, k - 1)
 
 
 def test_reduce_mod_pk_matches_divmod_random():
     rng = random.Random(59)
     for q, k in ((3, 5), (3, 7), (5, 3), (5, 7)):
         ctx = QuotientFieldContext(q, k)
-        field = ctx.field
-        pk = ctx.p_k()
+        pk = ref.p_k(ctx)
         for _ in range(300):
-            f = P([rng.randrange(q) for _ in range(k)], field)
-            rem = poly_divmod(f, pk)[1]
-            assert reduce_mod_pk(f, ctx) == rem.padded(k - 1)
+            f = [rng.randrange(q) for _ in range(k)]
+            rem = ref.div(f, pk, q)[1]
+            assert T(reduce_mod_pk(f, ctx)) == ref.padded(rem, k - 1)
 
 
 def test_quotient_context_needs_no_irreducibility_test(monkeypatch):
@@ -263,38 +268,38 @@ def test_quotient_context_rejects_bad_parameters():
 def test_quotient_mul_examples():
     ctx = QuotientFieldContext(2, 3)
     u = (1, 1)
-    assert quotient_mul(u, u, ctx) == (0, 1)
-    assert quotient_mul(u, ctx.one(), ctx) == u
-    assert quotient_mul(u, ctx.zero(), ctx) == ctx.zero()
+    assert T(quotient_mul(u, u, ctx)) == (0, 1)
+    assert T(quotient_mul(u, ref.one(ctx), ctx)) == u
+    assert T(quotient_mul(u, ref.zero(ctx), ctx)) == ref.zero(ctx)
+    with pytest.raises(ValueError):
+        quotient_mul(u, (1,), ctx)
 
 
 def test_quotient_mul_field_axioms_exhaustive_f4():
     ctx = QuotientFieldContext(2, 3)
-    elems = list(ctx.elements())
+
+    def mul(u, v):
+        return T(quotient_mul(u, v, ctx))
+
+    elems = list(ref.elements(ctx))
     assert len(elems) == 4
     for u in elems:
         for v in elems:
-            assert quotient_mul(u, v, ctx) == quotient_mul(v, u, ctx)
+            assert mul(u, v) == mul(v, u)
             for w in elems:
-                left = quotient_mul(quotient_mul(u, v, ctx), w, ctx)
-                right = quotient_mul(u, quotient_mul(v, w, ctx), ctx)
-                assert left == right
+                assert mul(mul(u, v), w) == mul(u, mul(v, w))
                 s = tuple((a + b) % 2 for a, b in zip(v, w))
-                dist_left = quotient_mul(u, s, ctx)
-                dist_right = tuple(
-                    (a + b) % 2
-                    for a, b in zip(quotient_mul(u, v, ctx), quotient_mul(u, w, ctx))
-                )
-                assert dist_left == dist_right
+                dist_right = tuple((a + b) % 2 for a, b in zip(mul(u, v), mul(u, w)))
+                assert mul(u, s) == dist_right
 
 
 def _qpow(u, e, ctx):
-    acc = ctx.one()
+    acc = ref.one(ctx)
     base = u
     while e:
         if e & 1:
-            acc = quotient_mul(acc, base, ctx)
-        base = quotient_mul(base, base, ctx)
+            acc = T(quotient_mul(acc, base, ctx))
+        base = T(quotient_mul(base, base, ctx))
         e >>= 1
     return acc
 
@@ -306,55 +311,42 @@ def test_quotient_mul_random_samples_and_orders():
     rng = random.Random(61)
     group = 2**10 - 1
 
+    def mul(u, v):
+        return T(quotient_mul(u, v, ctx))
+
     def rand_elem():
         return tuple(rng.randrange(2) for _ in range(10))
 
     for _ in range(200):
         u, v, w = rand_elem(), rand_elem(), rand_elem()
-        assert quotient_mul(u, v, ctx) == quotient_mul(v, u, ctx)
-        assert quotient_mul(quotient_mul(u, v, ctx), w, ctx) == quotient_mul(
-            u, quotient_mul(v, w, ctx), ctx
-        )
+        assert mul(u, v) == mul(v, u)
+        assert mul(mul(u, v), w) == mul(u, mul(v, w))
         s = tuple((a + b) % 2 for a, b in zip(v, w))
-        assert quotient_mul(u, s, ctx) == tuple(
-            (a + b) % 2
-            for a, b in zip(quotient_mul(u, v, ctx), quotient_mul(u, w, ctx))
-        )
+        assert mul(u, s) == tuple((a + b) % 2 for a, b in zip(mul(u, v), mul(u, w)))
     for _ in range(25):
         u = rand_elem()
         if not any(u):
             continue
-        assert _qpow(u, group, ctx) == ctx.one()
+        assert _qpow(u, group, ctx) == ref.one(ctx)
 
 
 def test_poly_irreducible_examples():
-    assert poly_irreducible(P([1, 1, 1], F2))
-    assert not poly_irreducible(P([1, 0, 1], F2))
-    assert poly_irreducible(P([1, 1, 1, 1, 1], F2))
+    assert poly_irreducible([1, 1, 1], 2)
+    assert not poly_irreducible([1, 0, 1], 2)
+    assert poly_irreducible([1, 1, 1, 1, 1], 2)
+    assert poly_irreducible([2, 1], 3)
     with pytest.raises(ValueError):
-        poly_irreducible(P([1], F2))
-
-
-def _irreducible_by_trial_division(f):
-    # literal scan over all monic divisor candidates up to half degree
-    q = f.field.q
-    for d in range(1, int(f.degree) // 2 + 1):
-        for idx in range(q**d):
-            coeffs = [(idx // q**i) % q for i in range(d)] + [1]
-            if (f % P(coeffs, f.field)).is_zero():
-                return False
-    return True
+        poly_irreducible([1], 2)
+    with pytest.raises(ValueError):
+        poly_irreducible([1, 3], 3)  # degree 0 once read mod 3
 
 
 def test_poly_irreducible_matches_trial_division():
     # every monic polynomial up to degree 8 over F_2 and degree 4 over F_3
     for q, max_deg in ((2, 8), (3, 4)):
-        field = PrimeField(q)
         for deg in range(1, max_deg + 1):
-            for idx in range(q**deg):
-                coeffs = [(idx // q**i) % q for i in range(deg)] + [1]
-                f = P(coeffs, field)
-                assert poly_irreducible(f) == _irreducible_by_trial_division(f)
+            for f in ref.monic_polys(q, deg):
+                assert poly_irreducible(f, q) == ref.irreducible(f, q)
 
 
 def test_is_primitive_root_examples():
@@ -394,7 +386,7 @@ GF2M_PINNED = {
 def test_build_gf2m_moduli():
     for m, (modulus, generator) in GF2M_PINNED.items():
         gf = build_gf2m(m)
-        assert sum(c << i for i, c in enumerate(gf.modulus.coeffs)) == modulus
+        assert gf.modulus == modulus
         assert gf.generator == generator
     with pytest.raises(ValueError):
         build_gf2m(0)
@@ -405,7 +397,8 @@ def test_build_gf2m_moduli():
 def test_build_gf2m_generator_orders():
     for m in range(1, 7):
         gf = build_gf2m(m)
-        assert poly_irreducible(gf.modulus) or m == 1 and gf.modulus.degree == 1
+        bits = [(gf.modulus >> i) & 1 for i in range(m + 1)]
+        assert poly_irreducible(bits, 2) and ref.irreducible(bits, 2)
         assert gf.element_order(gf.generator) == 2**m - 1
 
 
@@ -418,4 +411,9 @@ def test_gf2m_arithmetic_spot():
 
 def test_binary_extension_field_validation():
     with pytest.raises(ValueError):
-        BinaryExtensionField(2, P([1, 0, 1], F2), 0b10)  # (1+x)^2 reducible
+        BinaryExtensionField(2, 0b101, 0b10)  # (1+x)^2 reducible
+    with pytest.raises(ValueError):
+        BinaryExtensionField(2, 0b1011, 0b10)  # degree 3, not 2
+    with pytest.raises(ValueError):
+        BinaryExtensionField(2, -0b111, 0b10)
+    assert BinaryExtensionField(2, 0b111, 0b10).mul(0b10, 0b10) == 0b11

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -133,6 +134,86 @@ def test_malformed_words_exit_one(tmp_path, k18_descriptor):
     res = _run(["decode", str(k18_descriptor), "--in", str(bad)])
     assert res.returncode == 1
     assert "non-integer" in res.stderr
+
+
+@pytest.fixture(scope="module")
+def q11_descriptor(tmp_path_factory):
+    path = tmp_path_factory.mktemp("desc") / "q11.json"
+    loaded = cli.build_family("sidon-dc", {"q": 11, "k": 18, "sidon": [0, 7, 13]})
+    path.write_text(cli.dump_descriptor(loaded.descriptor))
+    return path
+
+
+@pytest.mark.parametrize("command,length", [("encode", 18), ("decode", 36)])
+@pytest.mark.parametrize(
+    "token", ["1_0", "+3", "\u0663"], ids=["underscore", "plus", "arabic-indic"]
+)
+def test_word_files_take_ascii_digits_only(
+    tmp_path, q11_descriptor, command, length, token, capsys
+):
+    # int() reads all three (as 10, 3 and 3); a word file holds [0-9]+ only
+    words = tmp_path / "words.txt"
+    lines = [["0"] * length, [token] + ["0"] * (length - 1)]
+    words.write_text(
+        "".join(" ".join(line) + "\n" for line in lines), encoding="utf-8"
+    )
+    assert cli.main([command, str(q11_descriptor), "--in", str(words)]) == 1
+    kind = "message" if command == "encode" else "word"
+    err = f"{command}: line 2: non-integer symbol in {kind}\n"
+    assert capsys.readouterr() == ("", err)
+
+
+HUGE_Q = "q must be at most 2^31 - 1 = 2147483647, got 2305843009213693951"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        f"construct sidon-dc --q {2**61 - 1} --k 18 --sidon 0,7,13",
+        f"construct wozencraft --q {2**61 - 1} --k 5",
+        f"params find-k --q {2**61 - 1} --min 5",
+    ],
+    ids=["sidon-dc", "wozencraft", "find-k"],
+)
+def test_huge_field_size_fails_fast(argv, capsys):
+    # q = 2^61 - 1 is prime; the primality test alone would try about 7.6e8
+    # odd divisors, so the ceiling is checked before it
+    start = time.perf_counter()
+    assert cli.main(argv.split()) == 1
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr() == ("", f"{argv.split()[0]}: {HUGE_Q}\n")
+
+
+def test_huge_field_size_exits_one_from_the_console():
+    res = _run(["construct", "sidon-dc", "--q", str(2**61 - 1), "--k", "18"])
+    assert res.returncode == 1 and res.stdout == ""
+    assert res.stderr == f"construct: {HUGE_Q}\n"
+
+
+@pytest.mark.parametrize(
+    "params,message",
+    [
+        ("sidon-dc --q 2 --k 1000001", "sidon-dc: k must be at most 1000000 for q=2"),
+        ("sidon-dc --q 3 --k 100001", "sidon-dc: k must be at most 100000 for q=3"),
+        ("wozencraft --q 2 --k 1423", "wozencraft: k must be at most 1414 for q=2"),
+        ("wozencraft --q 5 --k 709", "wozencraft: k must be at most 707 for q=5"),
+        ("wozencraft --q 2147483647 --k 5 --sidon 0,1",
+         "wozencraft: k must be at most 0 for q=2147483647"),
+    ],
+    ids=["sidon-2", "sidon-3", "woz-2", "woz-5", "woz-huge-q"],
+)
+def test_k_ceilings_fail_fast(tmp_path, params, message, capsys):
+    message += f", got {params.split()[4]}"
+    start = time.perf_counter()
+    assert cli.main(["construct", *params.split()]) == 1
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr() == ("", f"construct: {message}\n")
+    # a descriptor past the ceiling is refused before its code is built
+    family, _, q, _, k, *_ = params.split()
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"family": family, "q": int(q), "k": int(k)}))
+    assert cli.main(["encode", str(path), "--in", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"encode: {message}\n")
 
 
 def test_tampered_descriptor_rejected(tmp_path, k18_descriptor):

@@ -24,7 +24,6 @@ from dccodes.code_core import (
     nearest_codeword,
     split_balanced_weight,
 )
-from dccodes.algebra import Polynomial, PrimeField
 from dccodes.cyc_dc import d_balanced_check
 from dccodes.cyclic import CyclicCode
 from dccodes.design_dc import build_sidon_dc
@@ -322,7 +321,7 @@ def test_oracle_budget_enforced(monkeypatch):
     with pytest.raises(OracleBudgetExceeded):
         brute_force_balanced_profile(code, 2)
     # x^3 + x + 1 divides x^7 - 1: a cyclic code with 16 codewords
-    base = CyclicCode(2, 7, Polynomial((1, 1, 0, 1), PrimeField(2)))
+    base = CyclicCode(2, 7, (1, 1, 0, 1))
     with pytest.raises(OracleBudgetExceeded):
         d_balanced_check(base, 1)
     monkeypatch.setenv("ORACLE_BUDGET", "not-a-number")

@@ -11,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import polyref as ref
 from dccodes import algebra, code_core, design_dc
-from dccodes.algebra import Polynomial, PrimeField, cyclic_mul
+from dccodes.algebra import cyclic_mul
 from dccodes.code_core import (
     FAIL,
     Decoded,
@@ -53,23 +54,7 @@ def test_circulant_columns_shift():
     assert c.support == (0, 1)
 
 
-def _cyclic_mul_reference(a, m, k, q):
-    """a(x)*m(x) mod x^k - 1 as a length-k tuple, by the schoolbook double
-    loop that cyclic_mul ran before it moved onto circulant_product; kept as
-    the independent reference for that kernel."""
-    out = [0] * k
-    for i, av in enumerate(a):
-        if av % q == 0:
-            continue
-        for j, mv in enumerate(m):
-            if mv % q:
-                idx = (i + j) % k
-                out[idx] = (out[idx] + av * mv) % q
-    return tuple(out)
-
-
-# (q, k, kind of first column); "trailing" columns end in zeros, so
-# cyclic_mul's canonical polynomial is shorter than the circulant's column.
+# (q, k, kind of first column); "trailing" columns end in zeros.
 # "wide" columns hold 320 terms, as the rm-dc m=10 generator does; dense
 # q=257 columns sum products far above q^2 before reducing.
 CIRCULANT_CASES = [
@@ -98,17 +83,15 @@ def test_circulant_act_matches_cyclic_mul(q, k, density):
         first[0] = 1
         first[k // 2 + 1 :] = [0] * (k - k // 2 - 1)
     a = CirculantMatrix(k, tuple(first))
-    field = PrimeField(q)
-    a_poly = Polynomial(tuple(first), field)
     batch = [[rng.randrange(-q, 2 * q) for _ in range(k)] for _ in range(6)]
     batch[-1][k // 2 :] = [0] * (k - k // 2)
-    expected = [_cyclic_mul_reference(first, row, k, q) for row in batch]
+    expected = [ref.cyclic_mul(first, row, k, q) for row in batch]
     for row, exp in zip(batch, expected):
         out = a.act(row, q)
         assert out.dtype == np.int64 and out.shape == (k,)
         assert tuple(out.tolist()) == exp
-        assert cyclic_mul(a_poly, Polynomial(tuple(row), field), k) == exp
-        assert cyclic_mul(a_poly, row, k) == exp
+        assert cyclic_mul(a.terms, row, k, q) == exp
+        assert cyclic_mul(a.terms, np.array(row), k, q) == exp
     out = a.act(np.array(batch), q)
     assert out.dtype == np.int64 and out.shape == (len(batch), k)
     assert [tuple(r) for r in out.tolist()] == expected
@@ -161,7 +144,7 @@ def test_packed_product_matches_reference(k):
     terms = tuple((s, a) for s, a in enumerate(first) if a)
     for _ in range(4):
         x = [rng.randrange(-5, 300) for _ in range(k)]
-        exp = _cyclic_mul_reference(first, x, k, 2)
+        exp = ref.cyclic_mul(first, x, k, 2)
         for form in (x, tuple(x), np.array(x)):
             out = algebra.circulant_product(terms, form, 2)
             assert out.dtype == np.int64 and tuple(out.tolist()) == exp
@@ -169,7 +152,7 @@ def test_packed_product_matches_reference(k):
         assert tuple(out.tolist()) == exp
         # a message shorter than k is zero padded
         short = x[: k // 2 + 1]
-        exp = _cyclic_mul_reference(first, short, k, 2)
+        exp = ref.cyclic_mul(first, short, k, 2)
         assert tuple(algebra._packed_product(terms, algebra.gf2_bits(short), k)) == exp
 
 
@@ -342,7 +325,7 @@ def _reference_decode(code, w, tie_high):
     w0, w1 = list(w[:k]), list(w[k:])
 
     def act(vec):
-        return _cyclic_mul_reference(code.circulant.first_column, vec, k, q)
+        return ref.cyclic_mul(code.circulant.first_column, vec, k, q)
 
     aw0 = act(w0)
     y = [(aw0[j] - w1[j]) % q for j in range(k)]

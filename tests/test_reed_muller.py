@@ -237,14 +237,14 @@ def test_build_punctured_rm_parameters():
     hamming = build_punctured_rm(1, 3)
     cyclic = _punctured_cyclic(hamming)
     assert hamming.n == 7 and cyclic.k == 4
-    assert int(cyclic.g.degree) == 3
-    assert hamming.shortened.k == 3 and int(hamming.shortened.g.degree) == 4
+    assert len(cyclic.g) - 1 == 3
+    assert hamming.shortened.k == 3 and len(hamming.shortened.g) - 1 == 4
 
     big = build_punctured_rm(2, 4)
     cyclic = _punctured_cyclic(big)
     assert big.n == 15 and cyclic.k == 11
-    assert int(cyclic.g.degree) == 4
-    assert big.shortened.k == 10 and int(big.shortened.g.degree) == 5
+    assert len(cyclic.g) - 1 == 4
+    assert big.shortened.k == 10 and len(big.shortened.g) - 1 == 5
 
     with pytest.raises(ValueError):
         build_punctured_rm(0, 3)
