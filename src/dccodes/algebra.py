@@ -109,13 +109,16 @@ def gf2_bits(x) -> np.ndarray:
 
     x is a word, a message or an array of them. A tuple or list of ints in
     range(256) is read through bytes(), many times faster than np.asarray;
-    an ndarray never is, as bytes() would read its raw buffer.
+    an ndarray never is, as bytes() would read its raw buffer. A uint8 array
+    is masked as it is.
     """
     if isinstance(x, (tuple, list)):
         try:
             return np.frombuffer(bytes(x), dtype=np.uint8) & 1
         except (TypeError, ValueError):
             pass
+    elif getattr(x, "dtype", None) == np.uint8:
+        return x & 1
     # the uint8 cast wraps mod 256, which keeps every entry's parity
     return np.asarray(x, dtype=np.int64).astype(np.uint8) & 1
 

@@ -2,8 +2,11 @@
 oracle analyses and the acceptance self-test.
 
 Exit codes: 0 success, 1 usage or malformed input, 2 decoder Fail.
-Word files hold ASCII decimal symbols separated by whitespace, one word per
-line. Descriptors are JSON with sorted keys so serialization is bit-exact.
+Word files hold ASCII decimal symbols separated by ASCII whitespace, one
+word per line; encode and decode hold them as the rows of one array, uint8
+for q <= 256 and int64 above, and pass each row to the family's one-word
+encoder or decoder. Descriptors are JSON with sorted keys so serialization
+is bit-exact.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from .algebra import QuotientFieldContext, find_wozencraft_k
 from .code_core import (
     FAIL,
@@ -28,7 +33,6 @@ from .code_core import (
     brute_force_balanced_profile,
     brute_force_distance,
     capability,
-    hamming_distance,
 )
 from .cyc_dc import build_rm_dual_dc, cyc_dc_decode, cyc_dc_encode
 from .design_dc import build_sidon_dc, dc_encode, design_decode
@@ -299,36 +303,71 @@ def _load_or_report(command: str, path: str) -> Optional[LoadedCode]:
 # ---------------------------------------------------------------------------
 
 
-def _read_words(
-    path: Optional[str], q: int, length: int, what: str
-) -> list[tuple[int, ...]]:
-    """Words from the file at path, or from stdin when path is None."""
-    words = []
+# The ASCII whitespace str.split() splits on and str.strip() strips.
+_SPACE = b" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
+_DIGITS = b"0123456789"
+
+
+def _read_words(path: Optional[str], q: int, length: int, what: str) -> np.ndarray:
+    """Words from the file at path, or from stdin when path is None, as an
+    (N, length) array: uint8 for q <= 256, int64 above.
+
+    A line holds ASCII digits and _SPACE; blank lines are skipped. Each check
+    runs once per line in C: bytes.translate for the symbols, str.split for
+    the count and, when every token is one digit, a frombuffer of the
+    digits; longer tokens go through int().
+    """
+    dtype = np.uint8 if q <= 256 else np.int64
+    rows = []
     with open(path) if path else contextlib.nullcontext(sys.stdin) as stream:
         for lineno, line in enumerate(stream, start=1):
             line = line.strip()
             if not line:
                 continue
-            tokens = line.split()
             # int() alone would also take "1_0", "+3" and non-ASCII digits
-            if not line.isascii() or not all(map(str.isdigit, tokens)):
+            if not line.isascii() or line.encode().translate(None, _DIGITS + _SPACE):
                 raise ValueError(f"line {lineno}: non-integer symbol in {what}")
-            symbols = tuple(map(int, tokens))
-            if len(symbols) != length:
+            tokens = line.split()
+            if len(tokens) != length:
                 raise ValueError(
-                    f"line {lineno}: expected {length} symbols, got {len(symbols)}"
+                    f"line {lineno}: expected {length} symbols, got {len(tokens)}"
                 )
-            if any(not 0 <= s < q for s in symbols):
+            digits = line.encode().translate(None, _SPACE)
+            if len(digits) == length:  # every token is one digit
+                row = np.frombuffer(digits, dtype=np.uint8) - ord("0")
+                top = row.max()
+            else:
+                row = list(map(int, tokens))
+                top = max(row)
+            if top >= q:
                 raise ValueError(f"line {lineno}: symbols must lie in [0, {q})")
-            words.append(symbols)
-    return words
+            rows.append(np.asarray(row, dtype=dtype))
+    return np.array(rows, dtype=dtype).reshape(-1, length)
 
 
-def _write_words(path: Optional[str], words) -> None:
-    """Words to the file at path, or to stdout when path is None."""
+def _write_words(path: Optional[str], words: np.ndarray) -> None:
+    """Rows of words to the file at path, or to stdout when path is None.
+
+    Words of single-digit symbols go out as one buffer of digits, spaces
+    and newlines; others one " ".join line at a time.
+    """
     with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as stream:
+        if words.max(initial=0) < 10:
+            buf = np.full((len(words), 2 * words.shape[1]), ord(" "), dtype=np.uint8)
+            buf[:, ::2] = words + ord("0")
+            buf[:, -1] = ord("\n")
+            stream.write(buf.tobytes().decode("ascii"))
+            return
         for w in words:
-            stream.write(" ".join(str(v) for v in w) + "\n")
+            stream.write(" ".join(map(str, w.tolist())) + "\n")
+
+
+def _as_row(symbols: Sequence[int], dtype) -> np.ndarray:
+    """A tuple of symbols as a row of the given word dtype. bytes() reads a
+    uint8 row, many times faster than np.asarray."""
+    if dtype == np.uint8:
+        return np.frombuffer(bytes(symbols), dtype=np.uint8)
+    return np.asarray(symbols, dtype=dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +406,10 @@ def _cmd_encode(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"encode: {exc}", file=sys.stderr)
         return 1
-    _write_words(args.out, [loaded.encode(m) for m in messages])
+    words = np.empty((len(messages), loaded.block_length), dtype=messages.dtype)
+    for i, m in enumerate(messages):
+        words[i] = _as_row(loaded.encode(m), words.dtype)
+    _write_words(args.out, words)
     return 0
 
 
@@ -380,16 +422,19 @@ def _cmd_decode(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"decode: {exc}", file=sys.stderr)
         return 1
-    out_lines = []
+    messages = np.empty((len(words), loaded.message_length), dtype=words.dtype)
+    notes = []
     for idx, w in enumerate(words, start=1):
         outcome = loaded.decode(w)
         if outcome is FAIL:
-            print(f"decode: word {idx}: no codeword within radius", file=sys.stderr)
+            notes.append(f"decode: word {idx}: no codeword within radius\n")
+            sys.stderr.write("".join(notes))
             return 2
-        corrected = hamming_distance(outcome.codeword, w)
-        print(f"word {idx}: corrected {corrected} errors", file=sys.stderr)
-        out_lines.append(outcome.message)
-    _write_words(args.out, out_lines)
+        corrected = np.count_nonzero(_as_row(outcome.codeword, w.dtype) != w)
+        notes.append(f"word {idx}: corrected {corrected} errors\n")
+        messages[idx - 1] = _as_row(outcome.message, w.dtype)
+    sys.stderr.write("".join(notes))
+    _write_words(args.out, messages)
     return 0
 
 

@@ -22,10 +22,14 @@ from .algebra import (
     _monic,
     _terms,
     circulant_product,
+    gf2_bits,
+    gf2_circulant,
+    pack_bits,
     poly_divmod,
     poly_mul,
     poly_reverse,
     reduce_mod,
+    unpack_bits,
 )
 from .code_core import GeneratorMatrixCode, _rref
 
@@ -89,9 +93,17 @@ class CyclicCode:
         c = r*g exactly when c*h = r*(x^n - 1) (MacWilliams-Sloane, ch. 7), so
         one product with the check polynomial h divides by g: the top n
         coefficients of c*h are r, and c is a codeword iff they cancel the
-        bottom n, i.e. iff c*h vanishes mod x^n - 1.
+        bottom n, i.e. iff c*h vanishes mod x^n - 1. At q=2 the product is
+        one packed int (algebra.gf2_circulant): c is a codeword iff its low
+        and high n bits agree, and only r is unpacked.
         """
         n, q = self.n, self.q
+        if q == 2:
+            prod = gf2_circulant(self._h_terms, pack_bits(gf2_bits(c)), 2 * n)
+            r = prod >> n
+            if prod & ((1 << n) - 1) != r:
+                return None
+            return unpack_bits(r, n).astype(np.int64)
         padded = np.zeros(2 * n, dtype=np.int64)
         padded[:n] = c
         # 2n-point cyclic product of operands of degree < n: the linear product

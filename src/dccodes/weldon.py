@@ -91,16 +91,20 @@ class TCirculantCode(IdentityOverCirculants):
         )
 
 
+# Trial symbols per flip_one_decode batch: FLIP_BATCH // n words of length n.
+FLIP_BATCH = 1 << 18
+
+
 def flip_one_decode(
     sdc: SidonDCCode, w: Sequence[int], radius: Fraction
 ) -> DecodeOutcome:
     """Majority decoding, retried after each single-symbol change of w.
 
     Runs design_decode on w and, if that misses, majority_decode on the
-    n*(q-1) words that differ from w in one symbol as one batch; the first
-    codeword strictly within radius of w is the answer, in the order of
-    positions and then of the added symbol (a Chase-style trial-pattern
-    decoder, Chase 1972).
+    n*(q-1) words that differ from w in one symbol, FLIP_BATCH // n of them
+    per batch; the first codeword strictly within radius of w is the answer,
+    in the order of positions and then of the added symbol (a Chase-style
+    trial-pattern decoder, Chase 1972), so no batch after the first hit runs.
 
     Exact for fewer than radius errors whenever radius <= balanced_d/2,
     and so radius <= d/(2b) + 1/2 since balanced_d <= d/b + 1. Sketch: let
@@ -122,17 +126,20 @@ def flip_one_decode(
     out = design_decode(sdc, word)
     if out is not FAIL and within(np.array(out.codeword)):
         return out
-    # row pos*(q-1) + delta-1 adds delta at pos: the serial order of the trials
+    # trial r adds r % (q-1) + 1 at position r // (q-1): the serial order
     n = len(word)
-    trials = np.tile(word, (n * (q - 1), 1))
-    pos = np.repeat(np.arange(n), q - 1)
-    trials[np.arange(len(pos)), pos] += np.tile(np.arange(1, q), n)
-    c, ok = majority_decode(sdc, trials)
-    hits = np.flatnonzero(ok & within(c))
-    if not hits.size:
-        return FAIL
-    c = tuple(c[hits[0]].tolist())
-    return Decoded(c, c[: sdc.k])
+    trials = n * (q - 1)
+    step = max(1, FLIP_BATCH // n)
+    for start in range(0, trials, step):
+        r = np.arange(start, min(start + step, trials))
+        batch = np.tile(word, (len(r), 1))
+        batch[np.arange(len(r)), r // (q - 1)] += r % (q - 1) + 1
+        c, ok = majority_decode(sdc, batch)
+        hits = np.flatnonzero(ok & within(c))
+        if hits.size:
+            c = tuple(c[hits[0]].tolist())
+            return Decoded(c, c[: sdc.k])
+    return FAIL
 
 
 def tcirculant_from_sidon_dc(sdc: SidonDCCode) -> TCirculantCode:

@@ -5,10 +5,12 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from dccodes import cli
 from dccodes.design_dc import build_sidon_dc, dc_encode
+from dccodes.sidon import sidon_for_length
 
 CLI = [sys.executable, "-m", "dccodes.cli"]
 
@@ -134,6 +136,61 @@ def test_malformed_words_exit_one(tmp_path, k18_descriptor):
     res = _run(["decode", str(k18_descriptor), "--in", str(bad)])
     assert res.returncode == 1
     assert "non-integer" in res.stderr
+
+
+def _digit_lines(rows: np.ndarray) -> bytes:
+    """Rows of single-digit symbols as space-separated lines."""
+    buf = np.full((len(rows), 2 * rows.shape[1]), ord(" "), dtype=np.uint8)
+    buf[:, ::2] = rows + ord("0")
+    buf[:, -1] = ord("\n")
+    return buf.tobytes()
+
+
+# Peak RSS of the decode below: ~75 MB with words held as tuples of ints,
+# ~51 MB as uint8 rows (Python 3.11, numpy 2.4, Linux).
+LARGE_DECODE_MAX_RSS_MB = 64
+
+# Runs argv[2:] and writes its exit code and peak RSS to the file argv[1].
+# A child's ru_maxrss starts from its parent's RSS at exec, so the command
+# runs under this small interpreter rather than under pytest.
+_MAXRSS_WRAPPER = """
+import resource, subprocess, sys
+rc = subprocess.call(sys.argv[2:])
+usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+open(sys.argv[1], "w").write(f"{rc} {usage.ru_maxrss}")
+"""
+
+
+def test_decode_of_a_large_file_stays_small(tmp_path):
+    # 1000 sidon-dc k=2000 words with 2 errors each
+    k, count = 2000, 1000
+    rng = np.random.default_rng(2000)
+    code = build_sidon_dc(2, k, sidon_for_length(k))
+    messages = rng.integers(0, 2, (count, k), dtype=np.uint8)
+    # in chunks, so that pytest's own peak RSS, which a child started by
+    # vfork inherits, stays small
+    parity = [code.circulant.act(m, 2).astype(np.uint8) for m in np.split(messages, 20)]
+    words = np.hstack([messages, np.vstack(parity)])
+    for row in words:
+        row[rng.choice(2 * k, 2, replace=False)] ^= 1
+    desc, infile, report = (tmp_path / n for n in ("d.json", "w.txt", "report"))
+    loaded = cli.build_family("sidon-dc", {"q": 2, "k": k})
+    desc.write_text(cli.dump_descriptor(loaded.descriptor))
+    infile.write_bytes(_digit_lines(words))
+    start = time.perf_counter()
+    res = subprocess.run(
+        [sys.executable, "-c", _MAXRSS_WRAPPER, str(report),
+         *CLI, "decode", str(desc), "--in", str(infile)],
+        capture_output=True,
+    )
+    elapsed = time.perf_counter() - start
+    rc, maxrss = map(int, report.read_text().split())
+    assert rc == 0, res.stderr[-500:]
+    assert res.stdout == _digit_lines(messages)
+    notes = res.stderr.decode().splitlines()
+    assert notes == [f"word {i}: corrected 2 errors" for i in range(1, count + 1)]
+    peak_mb = maxrss / 1024  # KiB on Linux
+    assert peak_mb < LARGE_DECODE_MAX_RSS_MB, f"{peak_mb:.1f} MB in {elapsed:.2f} s"
 
 
 @pytest.fixture(scope="module")

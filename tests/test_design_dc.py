@@ -127,10 +127,11 @@ def test_circulant_product_regime_selection(monkeypatch):
         calls.clear()
         circulant.act(x, q)
         assert calls == [regime]
+    # a q=2 quotient is one packed-int product, in neither regime
     second_block = rm8.encode([1] * rm8.k)[rm8.k :]
     calls.clear()
     rm8.base.quotient(second_block)
-    assert calls == ["_packed_product"]
+    assert calls == []
 
 
 @pytest.mark.parametrize("k", [1, 7, 9, 255, 1023, 2000])

@@ -19,7 +19,8 @@ from dccodes.code_core import (
     iter_codewords,
     nearest_codeword,
 )
-from dccodes.design_dc import build_sidon_dc, dc_encode
+from dccodes import weldon
+from dccodes.design_dc import build_sidon_dc, dc_encode, design_decode, majority_decode
 from dccodes.sidon import sidon_for_length
 from dccodes.weldon import (
     TCirculantCode,
@@ -381,6 +382,58 @@ def test_flip_one_decode_accepts_only_within_radius():
         word = _noisy(rng, 2, cw, 1)
         assert flip_one_decode(sdc, word, Fraction(2)).codeword == cw
         assert flip_one_decode(sdc, word, Fraction(1)) is FAIL
+
+
+def _flip_one_one_batch(sdc, w, radius):
+    """flip_one_decode as it was before batching: every trial row at once."""
+    q = sdc.q
+    word = np.asarray(w, dtype=np.int64) % q
+
+    def within(c):
+        dist = np.count_nonzero(c != word, axis=-1)
+        return dist * radius.denominator < radius.numerator
+
+    out = design_decode(sdc, word)
+    if out is not FAIL and within(np.array(out.codeword)):
+        return out
+    n = len(word)
+    trials = np.tile(word, (n * (q - 1), 1))
+    pos = np.repeat(np.arange(n), q - 1)
+    trials[np.arange(len(pos)), pos] += np.tile(np.arange(1, q), n)
+    c, ok = majority_decode(sdc, trials)
+    hits = np.flatnonzero(ok & within(c))
+    if not hits.size:
+        return FAIL
+    c = tuple(c[hits[0]].tolist())
+    return Decoded(c, c[: sdc.k])
+
+
+@pytest.mark.parametrize("rows", [1, 5, None], ids=["1-row", "5-rows", "default"])
+@pytest.mark.parametrize(
+    "q,k,sidon", [inst for inst in GAP_INSTANCES if inst[0] in (2, 3, 5)]
+)
+def test_flip_one_batches_match_one_batch(monkeypatch, q, k, sidon, rows):
+    # batches of `rows` trial words (the default fits every trial in one);
+    # the first hit in serial order must win whatever the batch bounds
+    w, d = build_wozencraft(q, k, sidon)
+    sdc = build_sidon_dc(q, k, [i for i, v in enumerate(d.first_columns[0]) if v])
+    if rows is not None:
+        monkeypatch.setattr(weldon, "FLIP_BATCH", rows * sdc.n)
+    radius = sdc.balanced_bound / 2
+    rng = random.Random(f"flip-{q}-{k}")
+    words = []
+    for errors in range(_capability(radius) + 2):
+        for _ in range(4):
+            m = tuple(rng.randrange(q) for _ in range(k))
+            words.append(_noisy(rng, q, dc_encode(sdc, m), errors))
+    words += [tuple(rng.randrange(q) for _ in range(sdc.n)) for _ in range(8)]
+    hits = 0
+    for word in words:
+        want = _flip_one_one_batch(sdc, word, radius)
+        got = flip_one_decode(sdc, word, radius)
+        assert got == want
+        hits += want is not FAIL
+    assert 0 < hits < len(words)
 
 
 def test_wozencraft_decodes_at_capability_without_exhaustive_search(monkeypatch):
