@@ -1,4 +1,4 @@
-"""Double-circulant codes built from a cyclic code's generator polynomial.
+"""Binary double-circulant codes built from a cyclic code's generator.
 
 The circulant block's first column is the coefficient vector of the cyclic
 code's generator g, so the second codeword block is g(x)*m(x) mod x^k - 1:
@@ -22,8 +22,11 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .algebra import (
+    gf2_bits,
+    gf2_circulant,
+    pack_bits,
     poly_divmod,  # unused here; the benchmark's tracer hooks this name
-    reduce_mod,
+    unpack_bits,
 )
 from .code_core import (
     FAIL,
@@ -43,7 +46,7 @@ from .reed_muller import (
 )
 
 # A stage decoder receives a word (any int sequence; cyc_dc_decode passes
-# int64 arrays) and a strict rational radius and returns Decoded or FAIL. The
+# 0/1 arrays) and a strict rational radius and returns Decoded or FAIL. The
 # radius is the caller's promise about the error weight.
 CyclicDecoder = Callable[[Sequence[int], Fraction], DecodeOutcome]
 
@@ -51,10 +54,11 @@ CyclicDecoder = Callable[[Sequence[int], Fraction], DecodeOutcome]
 class CyclicDCCode(IdentityOverCirculants):
     """Identity-over-circulant code whose circulant column is g's coefficients.
 
-    d and d_perp are certified distance parameters of the base code and its
-    dual, which decoder and dual_decoder decode; the composed decoder corrects
-    strictly below min(d, d_perp)/2 errors and its final check uses exactly
-    that radius.
+    The base code must be binary, as cyc_dc_decode works on packed bits. d
+    and d_perp are certified distance parameters of the base code and its
+    dual, which decoder and dual_decoder decode; the composed decoder
+    corrects strictly below min(d, d_perp)/2 errors and its final check uses
+    exactly that radius.
     """
 
     def __init__(
@@ -65,6 +69,8 @@ class CyclicDCCode(IdentityOverCirculants):
         decoder: Optional[CyclicDecoder],
         dual_decoder: Optional[CyclicDecoder],
     ):
+        if base.q != 2:
+            raise ValueError("the base cyclic code must be binary")
         if decoder is None or dual_decoder is None:
             raise ValueError("need both a base decoder and a dual decoder")
         if d < 1 or d_perp < 1:
@@ -106,16 +112,16 @@ def cyc_dc_decode(code: CyclicDCCode, w: Sequence[int]) -> DecodeOutcome:
     answer outside the base code is a Fail. Stage 2 subtracts the quotient
     from the first block, reverses it, and decodes in the dual code. The two
     stages pin down the message, and a final strict distance check against
-    min(d, d_perp)/2 guards the re-encoded output. Both stage decoders get
-    int64 arrays; tuples are made only for the Decoded returned.
+    min(d, d_perp)/2 guards the re-encoded output. The word is read into
+    bits once, both stage decoders get 0/1 arrays, and the re-encode and the
+    distance check run on packed ints; tuples are made only for the Decoded
+    returned.
     """
     k = code.k
     if len(w) != 2 * k:
         raise ValueError(f"word must have length {2 * k}")
-    q = code.q
-    raw = np.asarray(w, dtype=np.int64)
-    reduced = reduce_mod(raw, q)
-    w0, w1 = reduced[:k], reduced[k:]
+    bits = gf2_bits(w)
+    w0, w1 = bits[:k], bits[k:]
 
     out1 = code.decoder(w1, Fraction(code.d, 2))
     if out1 is FAIL:
@@ -123,16 +129,17 @@ def cyc_dc_decode(code: CyclicDCCode, w: Sequence[int]) -> DecodeOutcome:
     r = code.base.quotient(out1.codeword)
     if r is None:
         return FAIL
+    r = r.astype(np.uint8)
 
-    shifted = reduce_mod(w0 - r, q)[::-1]
-    out0 = code.dual_decoder(shifted, Fraction(code.d_perp, 2))
+    out0 = code.dual_decoder((w0 ^ r)[::-1], Fraction(code.d_perp, 2))
     if out0 is FAIL:
         return FAIL
 
-    msg = reduce_mod(np.asarray(out0.codeword[::-1]) + r, q)
-    cw = cyc_dc_encode(code, msg)
-    if 2 * int((np.asarray(cw) != raw).sum()) < code.d_prime:
-        return Decoded(cw, tuple(msg.tolist()))
+    msg = pack_bits(gf2_bits(out0.codeword[::-1]) ^ r)
+    cw = msg | gf2_circulant(code.circulant.terms, msg, k) << k
+    if 2 * (cw ^ pack_bits(bits)).bit_count() < code.d_prime:
+        c = tuple(unpack_bits(cw, 2 * k).tobytes())
+        return Decoded(c, c[:k])
     return FAIL
 
 

@@ -126,8 +126,8 @@ def generator_from_spanning_set(
     vector falls outside the span this raises ValueError. One row reduction,
     with the columns in descending degree, gives a basis whose last row is
     the span's monic element of least degree, which for a cyclic span is its
-    generator; a second one checks that adding the shifted basis keeps the
-    rank.
+    generator. The shifted basis rows are then reduced against that basis's
+    pivots, and the span is closed iff nothing is left of them.
     """
     try:
         mat = np.asarray(words, dtype=np.int64) % q
@@ -137,8 +137,14 @@ def generator_from_spanning_set(
         raise ValueError(f"words must all have length {n}")
     rref, piv = _rref(mat[:, ::-1], q)
     basis = rref[: len(piv)]
-    _, piv2 = _rref(np.vstack([basis, np.roll(basis, 1, axis=1)]), q)
-    if len(piv2) != len(piv):
+    rolled = np.roll(basis, 1, axis=1)
+    # basis is reduced: subtracting a multiple of one of its rows changes no
+    # other pivot column, so one pass over the pivots reduces every row
+    for row, c in zip(basis, piv):
+        nz = np.flatnonzero(rolled[:, c])
+        if nz.size:
+            rolled[nz] = reduce_mod(rolled[nz] - np.outer(rolled[nz, c], row), q)
+    if rolled.any():
         raise ValueError("span is not closed under cyclic shift")
     code = CyclicCode(q, n, basis[-1, ::-1] if piv else _x_n_minus_1(q, n))
     if code.k != len(piv):

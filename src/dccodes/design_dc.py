@@ -14,9 +14,9 @@ product of one vector uses, and the d votes per coordinate are summed in a
 bit-sliced counter of d.bit_length() planes. Binary votes of one word or of
 a batch elect 1 against one shared threshold, d//2 + 1 (ceil(d/2) under the
 self-test tie hook), and q > 2 votes go through column_majority, which
-never loops over the q field values. Whatever q is, the q > 2 votes of a
-batch take about PATTERN_CHUNK * k int64 entries at a time (d * k for one
-word), and q=2 ones k small ints per row.
+never loops over the q field values. Whatever q and k are, the q > 2 votes
+take about PATTERN_CHUNK^2 int64 entries at a time, and q=2 ones k small
+ints per row.
 
 This module also holds the circulant matrix type and the
 identity-over-circulants core that all three families (Sidon, cyclic and
@@ -336,8 +336,10 @@ def majority_decode(code: SidonDCCode, w) -> tuple[np.ndarray, np.ndarray]:
     One q=2 word is decoded on Python ints (_bit_decode). Otherwise the vote
     of support element s for coordinate i is y[i + s] of y laid twice end to
     end: q=2 rows add their d slices into a small-int count, and q > 2 takes
-    column_majority of the stacked slices, PATTERN_CHUNK // d rows at a time
-    to bound that (d, rows, k) stack. No vote table is kept with the code.
+    column_majority of the stacked slices, PATTERN_CHUNK // d rows and
+    PATTERN_CHUNK columns at a time, so that (d, rows, columns) stack holds
+    about PATTERN_CHUNK^2 entries whatever k is. No vote table is kept with
+    the code.
     """
     k, q, d = code.k, code.q, code.profile.d
     if q == 2 and getattr(w, "ndim", 1) == 1:
@@ -364,7 +366,12 @@ def majority_decode(code: SidonDCCode, w) -> tuple[np.ndarray, np.ndarray]:
             count += twice[..., s : s + k]
         z = (count >= _ones_threshold(d)).astype(np.int64)
     else:
-        z = column_majority(np.array([twice[..., s : s + k] for s in supp]), q)
+        parts = []
+        for c in range(0, k, PATTERN_CHUNK):
+            end = min(c + PATTERN_CHUNK, k)
+            votes = np.array([twice[..., s + c : s + end] for s in supp])
+            parts.append(column_majority(votes, q))
+        z = np.concatenate(parts, axis=-1)
     c0 = reduce_mod(w0 - z, q)
     c = np.concatenate([c0, code.circulant.act(c0, q)], axis=-1)
     # strict rational comparison: dist < d / (2b)

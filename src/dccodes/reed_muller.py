@@ -7,11 +7,15 @@ held as the bitmask of its variable set, so "monomial T evaluates to 1 at
 point i" is just T & i == T; RMCode.evaluations tabulates that rule once
 and every encoder here reads the table.
 
-Majority-logic decoding reads one vote table per degree layer,
-RMCode.layers: layers[l][a, j, c] is point a of coset c of the j-th degree-l
-monomial's variable subcube. A vote is the XOR-fold of a coset's points, so
-a whole layer votes with one gather and one fold over axis 0, for one word
-or a batch (reed_majority).
+Majority-logic decoding holds a word as one Python int, bit i for point
+i. Folding along variable j, g ^ g >> 2^j, puts at every point whose bit j
+is 0 the XOR of it and its neighbour along x_j; after the folds along every
+variable of a monomial S, each point whose S-bits are all 0 holds the
+XOR-fold of its coset of S's variable subcube, which is that coset's vote.
+A popcount under the mask of those points counts the votes. The fold for S
+extends the fold for S minus its top variable, so the monomials of a degree
+layer share their prefix folds; RMCode.schedule lays these steps out once
+per code (reed_majority).
 
 Removing the zero point and ordering the remaining points along powers of a
 multiplicative generator of GF(2^m) turns RM(r, m) into a cyclic code. That
@@ -28,10 +32,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import build_gf2m
+from .algebra import build_gf2m, gf2_bits
 from .code_core import (
     FAIL,
-    PATTERN_CHUNK,
     Decoded,
     DecodeOutcome,
     GeneratorMatrixCode,
@@ -72,25 +75,55 @@ class RMCode:
         return ((t & np.arange(self.n, dtype=np.uint16)) == t).view(np.uint8)
 
     @cached_property
-    def layers(self) -> tuple[np.ndarray, ...]:
-        """Vote table per degree l = 0..r, shaped (2^l, C(m, l), 2^(m-l)).
+    def schedule(self) -> tuple[tuple, ...]:
+        """Fold schedule per degree layer, highest degree first.
 
-        Entry [a, j, c] is the point whose bits inside the j-th degree-l
-        monomial's variable set spell a and whose bits outside it spell c, so
-        column [:, j, c] is coset c of the monomial's subcube and row a = 2^l - 1
-        holds the one point of each coset where the monomial evaluates to 1.
-        Monomials j run in message order within the layer.
+        Each layer is (steps, votes, t). The folds of a word start as [word]
+        and step (src, shift) appends fold src folded once more, along the
+        variable j with shift = 2^j. Vote (i, src, shift, zeros, evaluation)
+        folds fold src along the top variable of the i-th monomial S and
+        counts the ones at the points whose S-bits are all 0 (the int
+        zeros); a count above t, half the 2^(m-l) cosets, sets coefficient
+        i, and XOR-ing the evaluation int of S subtracts it. The empty
+        monomial folds by shift = n, which leaves the word as it is. Every
+        mask is an AND of single-variable masks, so the set-up makes no pass
+        over the points.
         """
-        m, stop = self.m, 0
-        tables = []
-        for ell in range(self.r + 1):
-            start, stop = stop, stop + comb(m, ell)
-            masks = np.array(self.monomials[start:stop])
-            inside = (masks[:, None] >> np.arange(m)) & 1
-            a = _spread(inside, ell)[:, :, None]
-            c = _spread(1 - inside, m - ell).T
-            tables.append(np.bitwise_or(a, c, order="C"))
-        return tuple(tables)
+        m, n = self.m, self.n
+        full = (1 << n) - 1
+        # the points where x_j = 1: runs of 2^j zeros and 2^j ones, repeated
+        ones = []
+        for j in range(m):
+            run = 1 << j
+            ones.append(full // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run))
+        # monomial -> (points where its variables are all 0, all 1)
+        masks = {0: (full, full)}
+        for s in self.monomials[1:]:
+            j = s.bit_length() - 1
+            zeros, evaluation = masks[s ^ (1 << j)]
+            masks[s] = (zeros & ~ones[j], evaluation & ones[j])
+        layers = []
+        stop = self.k
+        for ell in range(self.r, -1, -1):
+            start = stop - comb(m, ell)
+            index, steps, votes = {0: 0}, [], []
+            for i in range(start, stop):
+                s = self.monomials[i]
+                j = s.bit_length() - 1
+                prefix = s ^ (1 << j) if s else 0
+                chain = []
+                while prefix not in index:
+                    top = prefix.bit_length() - 1
+                    chain.append((prefix, top))
+                    prefix ^= 1 << top
+                src = index[prefix]
+                for prefix, top in reversed(chain):
+                    steps.append((src, 1 << top))
+                    src = index[prefix] = len(steps)
+                votes.append((i, src, 1 << j if s else n, *masks[s]))
+            layers.append((tuple(steps), tuple(votes), (1 << (m - ell)) >> 1))
+            stop = start
+        return tuple(layers)
 
     @cached_property
     def generator_code(self) -> GeneratorMatrixCode:
@@ -98,14 +131,6 @@ class RMCode:
 
     def __repr__(self) -> str:
         return f"RMCode(r={self.r}, m={self.m})"
-
-
-def _spread(variables: np.ndarray, width: int) -> np.ndarray:
-    """(2^width, rows) points: entry [a, j] puts the bits of a, lowest first,
-    on the `width` variables flagged in row j of the 0/1 array `variables`."""
-    positions = np.nonzero(variables)[1].reshape(len(variables), width)
-    a_bits = (np.arange(1 << width)[:, None] >> np.arange(width)) & 1
-    return a_bits @ (1 << positions).T
 
 
 @lru_cache(maxsize=None)
@@ -121,47 +146,61 @@ def rm_encode(code: RMCode, coeffs: Sequence[int]) -> Word:
     return tuple(((np.asarray(coeffs) & 1) @ code.evaluations % 2).tolist())
 
 
+def _majority(code: RMCode, v: int) -> tuple[int, bytearray]:
+    """Majority-logic decoding of the word packed into v: the residual left
+    after every layer is subtracted, and the message as k 0/1 bytes."""
+    msg = bytearray(code.k)
+    for steps, votes, t in code.schedule:
+        folds = [v]
+        for src, shift in steps:
+            g = folds[src]
+            folds.append(g ^ g >> shift)
+        for i, src, shift, zeros, evaluation in votes:
+            g = folds[src]
+            if ((g ^ g >> shift) & zeros).bit_count() > t:
+                msg[i] = 1
+                v ^= evaluation
+    return v, msg
+
+
 def reed_majority(code: RMCode, words) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Majority-logic decoding of a word, or of every row of an (N, n) array.
 
     Highest degree layer first: the coefficient of a degree-l monomial T
     equals the sum of the codeword over any coset of T's variable subcube,
-    so each of the 2^(m-l) cosets in code.layers[l] casts one vote, the
-    XOR-fold of its points; below half distance the correct value always
+    so each of the 2^(m-l) cosets casts one vote, the XOR-fold of its
+    points (code.schedule); below half distance the correct value always
     has a strict majority. Ties vote 0. After each layer the decoded part is
     subtracted. Returns the codewords (uint8, shaped like words), the
     messages, and whether the final residual stays strictly under weight
     2^(m-r-1), i.e. the word was within the guaranteed radius. Rows are
-    decoded PATTERN_CHUNK // k at a time, to bound the gathered votes.
+    decoded one at a time, each packed into one int.
     """
-    received = (np.asarray(words, dtype=np.int64) & 1).astype(np.uint8)
+    received = gf2_bits(words)
     if received.shape[-1] != code.n:
         raise ValueError(f"word must have length {code.n}")
-    rows = max(1, PATTERN_CHUNK // code.k)
-    if received.ndim == 2 and len(received) > rows:
-        chunks = (received[i : i + rows] for i in range(0, len(received), rows))
-        parts = [reed_majority(code, chunk) for chunk in chunks]
-        return tuple(np.concatenate(p) for p in zip(*parts))
-    working = received.copy()
-    msg = np.zeros(received.shape[:-1] + (code.k,), dtype=np.uint8)
-    stop = code.k
-    for table in reversed(code.layers):
-        start = stop - table.shape[1]
-        votes = np.bitwise_xor.reduce(np.take(working, table, axis=-1), axis=-3)
-        layer = (2 * votes.sum(axis=-1) > table.shape[2]).astype(np.uint8)
-        msg[..., start:stop] = layer
-        # subtract the layer: XOR-fold its monomials' evaluation rows
-        terms = layer[..., :, None] & code.evaluations[start:stop]
-        working ^= np.bitwise_xor.reduce(terms, axis=-2)
-        stop = start
-    # accept only strictly within half distance: residual < 2^(m-r)/2
-    ok = 2 * working.sum(axis=-1) < 1 << (code.m - code.r)
-    return received ^ working, msg, ok
+    size = (code.n + 7) // 8
+    packed = np.packbits(received.reshape(-1, code.n), axis=1, bitorder="little")
+    packed = packed.tobytes()
+    codewords, messages, ok = bytearray(), bytearray(), []
+    for start in range(0, len(packed), size):
+        v = int.from_bytes(packed[start : start + size], "little")
+        residual, msg = _majority(code, v)
+        codewords += (v ^ residual).to_bytes(size, "little")
+        messages += msg
+        # accept only strictly within half distance: residual < 2^(m-r)/2
+        ok.append(2 * residual.bit_count() < 1 << (code.m - code.r))
+    lead = received.shape[:-1]
+    cw = np.frombuffer(codewords, dtype=np.uint8).reshape(-1, size)
+    cw = np.unpackbits(cw, axis=1, count=code.n, bitorder="little")
+    msgs = np.frombuffer(messages, dtype=np.uint8).reshape(lead + (code.k,))
+    # [()] makes the accept mask of one word a scalar
+    return cw.reshape(received.shape), msgs, np.array(ok).reshape(lead)[()]
 
 
 def reed_decode(code: RMCode, w: Sequence[int]) -> DecodeOutcome:
-    """Majority-logic decoding of one word on the per-degree vote tables
-    (RMCode.layers): reed_majority of w, as a Decoded codeword or FAIL."""
+    """Majority-logic decoding of one word (reed_majority), as a Decoded
+    codeword or FAIL."""
     c, msg, ok = reed_majority(code, w)
     if ok:
         return Decoded(tuple(c.tolist()), tuple(msg.tolist()))
@@ -239,23 +278,23 @@ def _decode_lifts(
     with one reed_majority call, and puncture the answers.
 
     Returns the punctured codewords, the messages, and whether each lift
-    decoded to a codeword strictly within radius of w.
+    decoded to a codeword strictly within radius of w mod 2.
     """
     if len(w) != pcode.n:
         raise ValueError(f"word must have length {pcode.n}")
-    w = np.asarray(w, dtype=np.int64)
+    bits = gf2_bits(w)
     lifts = np.empty((len(zero_values), pcode.full.n), dtype=np.uint8)
     lifts[:, 0] = zero_values
-    lifts[:, pcode.ordering] = w & 1
+    lifts[:, pcode.ordering] = bits
     cw, msg, ok = reed_majority(pcode.full, lifts)
-    pcw = cw[:, pcode.ordering]
+    pcw = cw.take(pcode.ordering, axis=1)
     # dist < radius in integers: comparing an array with a Fraction is per entry
-    ok &= (pcw != w).sum(axis=1) * radius.denominator < radius.numerator
+    ok &= (pcw ^ bits).sum(axis=1) * radius.denominator < radius.numerator
     return pcw, msg, ok
 
 
 def _decoded(pcw: np.ndarray, msg: np.ndarray) -> Decoded:
-    return Decoded(tuple(pcw.tolist()), tuple(msg.tolist()))
+    return Decoded(tuple(pcw.tobytes()), tuple(msg.tobytes()))
 
 
 def punctured_rm_decode(

@@ -72,6 +72,8 @@ def test_build_cyclic_dc_toy_base():
 
     with pytest.raises(ValueError):
         CyclicDCCode(code.base, 3, 2, None, None)
+    with pytest.raises(ValueError, match="must be binary"):
+        CyclicDCCode(CyclicCode(3, 4, (1, 1)), 2, 2, code.decoder, code.dual_decoder)
     with pytest.raises(ValueError):
         CyclicDCCode(code.base, 3, 2, code.decoder, None)
     with pytest.raises(ValueError):
@@ -111,6 +113,19 @@ def test_decode_round_trip_toy():
         m = tuple((idx >> i) & 1 for i in range(3))
         out = cyc_dc_decode(code, cyc_dc_encode(code, m))
         assert isinstance(out, Decoded) and out.message == m
+
+
+def test_final_check_is_strict_toy():
+    # d' = 2, so only a word at distance 0 is strictly inside the radius: one
+    # error away from a codeword, the stage decoders still answer, and only
+    # the final check turns that answer into a Fail
+    code = _toy_code()
+    for idx in range(8):
+        cw = cyc_dc_encode(code, tuple((idx >> i) & 1 for i in range(3)))
+        for pos in range(6):
+            w = list(cw)
+            w[pos] ^= 1
+            assert cyc_dc_decode(code, w) is FAIL
 
 
 def test_decode_single_errors_n15():

@@ -112,6 +112,32 @@ def test_generator_from_spanning_set():
 
 
 @pytest.mark.parametrize("q", [2, 3])
+def test_generator_from_spanning_set_rejects_exactly_unclosed_spans(q):
+    # random spans, closed or not: it raises iff some shift of a spanning
+    # word falls outside the span, found by listing the span
+    rng = random.Random(461 + q)
+    closed = 0
+    for _ in range(300):
+        n = rng.randrange(2, 7)
+        words = [
+            tuple(rng.choice((0, 0, rng.randrange(q))) for _ in range(n))
+            for _ in range(rng.randrange(1, 4))
+        ]
+        span = {
+            tuple(sum(c * w[i] for c, w in zip(cs, words)) % q for i in range(n))
+            for cs in itertools.product(range(q), repeat=len(words))
+        }
+        if all(w[-1:] + w[:-1] in span for w in words):
+            closed += 1
+            got = generator_from_spanning_set(q, n, words)
+            assert {cw for _, cw in iter_codewords(got.generator_code)} == span
+        else:
+            with pytest.raises(ValueError, match="not closed under cyclic shift"):
+                generator_from_spanning_set(q, n, words)
+    assert 0 < closed < 300
+
+
+@pytest.mark.parametrize("q", [2, 3])
 def test_generator_from_spanning_set_recovers_every_cyclic_code(q):
     # redundant, shuffled spanning sets: the basis, random combinations of
     # it and zero words
