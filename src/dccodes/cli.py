@@ -30,6 +30,7 @@ from .code_core import (
     DecodeOutcome,
     GeneratorMatrixCode,
     OracleBudgetExceeded,
+    _require_budget,
     brute_force_balanced_profile,
     brute_force_distance,
     capability,
@@ -451,8 +452,8 @@ def _cmd_analyze(args) -> int:
     if args.exact_distance:
         start = time.perf_counter()
         try:
-            code = loaded.matrix_code()
-            dist = brute_force_distance(code)
+            _require_budget(loaded.q, loaded.message_length, "distance scan")
+            dist = brute_force_distance(loaded.matrix_code())
         except OracleBudgetExceeded as exc:
             print(f"exact distance: skipped ({exc})")
         else:
@@ -465,8 +466,10 @@ def _cmd_analyze(args) -> int:
     if args.balanced:
         start = time.perf_counter()
         try:
-            code = loaded.matrix_code()
-            prof = brute_force_balanced_profile(code, loaded.balanced_blocks)
+            _require_budget(loaded.q, loaded.message_length, "balanced profile scan")
+            prof = brute_force_balanced_profile(
+                loaded.matrix_code(), loaded.balanced_blocks
+            )
         except OracleBudgetExceeded as exc:
             print(f"balanced profile: skipped ({exc})")
         else:

@@ -1,12 +1,17 @@
 """Linear codes over prime fields: encoding, weights, and exact oracles.
 
-Words are plain tuples of ints. The exhaustive scans (distance, balanced
-profile, nearest codeword, bounded-distance error patterns) are
-budget-guarded: anything that would enumerate more than ORACLE_BUDGET
-codewords or patterns raises OracleBudgetExceeded instead of silently
-running forever. The codeword scans share one enumeration: blocks of
-codewords in lexicographic message order, each a table of low-digit
-codewords plus one higher-digit codeword, reduced with numpy.
+Matrices are numpy arrays: a code holds its generator as one read-only
+(k, n) int64 array and row-reduces it once, at construction; unencode and
+the dual basis read that reduction. Words go in as any sequence of ints,
+and tuples appear only in what encode, unencode and the decoders return.
+The exhaustive scans (distance, balanced profile, nearest codeword,
+bounded-distance error patterns) are budget-guarded: anything that would
+enumerate more than ORACLE_BUDGET codewords or patterns raises
+OracleBudgetExceeded instead of silently running forever. A codeword scan
+is checked from q and k alone and states its count as a power, q^k. The
+codeword scans share one enumeration: blocks of codewords in lexicographic
+message order, each a table of low-digit codewords plus one higher-digit
+codeword, reduced with numpy.
 """
 
 from __future__ import annotations
@@ -50,12 +55,20 @@ def oracle_budget() -> int:
     return value
 
 
-def _require_budget(count: int, what: str) -> None:
+def _require_budget(q: int, k: int, what: str) -> None:
+    """Raise OracleBudgetExceeded if a scan of q^k codewords exceeds the budget.
+
+    The product stops growing once it passes the budget, so a huge k costs
+    no more than a small one, and the message states the count as a power.
+    """
     budget = oracle_budget()
-    if count > budget:
-        raise OracleBudgetExceeded(
-            f"{what} needs {count} codeword evaluations, budget is {budget}"
-        )
+    count = 1
+    for _ in range(k):
+        count *= q
+        if count > budget:
+            raise OracleBudgetExceeded(
+                f"{what} needs {q}^{k} codeword evaluations, budget is {budget}"
+            )
 
 
 @dataclass(frozen=True)
@@ -93,7 +106,8 @@ def _rref(mat: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
     rows, cols = mat.shape
     # Every intermediate lies in (-(q-1)^2, q^2), so int8 holds them all for
     # q <= 11, and the row updates, which dominate, move 8x fewer bytes.
-    m = reduce_mod(mat.astype(np.int64), q).astype(np.int8 if q <= 11 else np.int64)
+    m = reduce_mod(np.asarray(mat, dtype=np.int64), q)
+    m = m.astype(np.int8 if q <= 11 else np.int64)
     piv: list[int] = []
     r = 0
     for c in range(cols):
@@ -121,49 +135,42 @@ class GeneratorMatrixCode:
     """A linear code given by the columns of its generator matrix.
 
     Column i is the codeword of the i-th unit message, so the code is the
-    set of F_q-linear combinations of the columns. Columns must be linearly
+    set of F_q-linear combinations of the columns. Column i is held as row i
+    of the read-only (k, n) int64 array `columns`. Columns must be linearly
     independent; a dependent set raises ValueError at construction.
     """
 
     def __init__(self, q: int, columns: Sequence[Sequence[int]], n: int | None = None):
         self.field = PrimeField(q)
         self.q = q
-        cols = tuple(tuple(int(v) % q for v in col) for col in columns)
-        if cols:
-            lengths = {len(c) for c in cols}
-            if len(lengths) != 1:
-                raise ValueError("generator columns must share one length")
-            actual = lengths.pop()
-            if n is not None and n != actual:
-                raise ValueError(f"stated length {n} != column length {actual}")
-            n = actual
-        elif n is None:
-            raise ValueError("a dimension-zero code needs an explicit length n")
-        if n < 1:
+        mat = np.asarray(columns, dtype=np.int64)
+        if mat.ndim == 1 and not mat.size:
+            if n is None:
+                raise ValueError("a dimension-zero code needs an explicit length n")
+            mat = mat.reshape(0, max(n, 0))
+        if mat.ndim != 2:
+            raise ValueError("generator columns must share one length")
+        if n is not None and n != mat.shape[1]:
+            raise ValueError(f"stated length {n} != column length {mat.shape[1]}")
+        self.k, self.n = mat.shape
+        if self.n < 1:
             raise ValueError("block length must be positive")
-        self.n = n
-        self.k = len(cols)
-        self.columns = cols
-        self._gen = np.array(cols, dtype=np.int64).reshape(self.k, n).T
-        if self.k:
-            # reducing [M | I] leaves T with T @ M == rref(M) in the identity's place
-            mat = np.array(cols, dtype=np.int64)
-            rref, piv = _rref(np.hstack([mat, np.eye(self.k, dtype=np.int64)]), q)
-            if piv[-1] >= n:
-                raise ValueError("generator columns are linearly dependent")
-            self._pivots = np.array(piv)
-            self._unencode_t = rref[:, n:].T
-        else:
-            self._pivots = np.array([], dtype=np.int64)
-            self._unencode_t = np.zeros((0, 0), dtype=np.int64)
+        self.columns = reduce_mod(mat, q)
+        self.columns.flags.writeable = False
+        # reducing [M | I] leaves rref(M), with M's pivots, on the left and
+        # T with T @ M == rref(M) in the identity's place
+        rref, piv = _rref(np.hstack([self.columns, np.eye(self.k, dtype=np.int64)]), q)
+        if piv and piv[-1] >= self.n:
+            raise ValueError("generator columns are linearly dependent")
+        self._rref = rref
+        self._pivots = np.array(piv, dtype=np.intp)
         self._dual: GeneratorMatrixCode | None = None
-        self._dual_matrix: np.ndarray | None = None
 
     def encode(self, message: Sequence[int]) -> Word:
         if len(message) != self.k:
             raise ValueError(f"message must have length {self.k}")
         m = np.asarray(message, dtype=np.int64) % self.q
-        return tuple(int(v) for v in (self._gen @ m) % self.q)
+        return tuple((m @ self.columns % self.q).tolist())
 
     def unencode(self, codeword: Sequence[int]) -> Word:
         """The unique message encoding to the given codeword.
@@ -172,8 +179,8 @@ class GeneratorMatrixCode:
         """
         if len(codeword) != self.n:
             raise ValueError(f"word must have length {self.n}")
-        c = np.asarray(codeword, dtype=np.int64)
-        return tuple(int(v) for v in (self._unencode_t @ c[self._pivots]) % self.q)
+        c = np.asarray(codeword, dtype=np.int64)[self._pivots]
+        return tuple((c @ self._rref[:, self.n :] % self.q).tolist())
 
     def __repr__(self) -> str:
         return f"GeneratorMatrixCode(q={self.q}, n={self.n}, k={self.k})"
@@ -224,7 +231,7 @@ def iter_codewords(
     code: GeneratorMatrixCode,
 ) -> Iterator[tuple[Word, Word]]:
     """Yield (message, codeword) over all q^k messages. Budget-guarded."""
-    _require_budget(code.q**code.k, "codeword enumeration")
+    _require_budget(code.q, code.k, "codeword enumeration")
     for digits in itertools.product(range(code.q), repeat=code.k):
         yield digits, code.encode(digits)
 
@@ -239,7 +246,7 @@ def _codeword_blocks(code: GeneratorMatrixCode) -> Iterator[tuple[int, np.ndarra
     column-major, so row counts add whole columns, and share one buffer.
     """
     q, k, n = code.q, code.k, code.n
-    gen = code._gen.T
+    gen = code.columns
     rows = max(1, SCAN_BLOCK // n)
     dtype = np.min_scalar_type(2 * (q - 1))
     table = np.zeros((1, n), dtype=dtype)
@@ -301,7 +308,7 @@ def brute_force_distance(code: GeneratorMatrixCode) -> int | float:
     """Exact minimum distance by full enumeration; inf for dimension zero."""
     if code.k == 0:
         return math.inf
-    _require_budget(code.q**code.k, "distance scan")
+    _require_budget(code.q, code.k, "distance scan")
     return _min_nonzero(code, lambda block: _row_counts(block != 0))
 
 
@@ -314,7 +321,7 @@ def brute_force_balanced_profile(code: GeneratorMatrixCode, t: int) -> int | flo
         raise ValueError(f"block count {t} does not divide length {code.n}")
     if code.k == 0:
         return math.inf
-    _require_budget(code.q**code.k, "balanced profile scan")
+    _require_budget(code.q, code.k, "balanced profile scan")
 
     def weigh(block: np.ndarray) -> np.ndarray:
         first, *rest = np.hsplit(block, t)
@@ -334,7 +341,7 @@ def nearest_codeword(
     """
     if len(w) != code.n:
         raise ValueError(f"word must have length {code.n}")
-    _require_budget(code.q**code.k, "nearest codeword scan")
+    _require_budget(code.q, code.k, "nearest codeword scan")
     w_arr = np.asarray(w, dtype=np.int64) % code.q
     best_dist, best_index = code.n + 1, 0
     for start, block in _codeword_blocks(code):
@@ -348,46 +355,24 @@ def nearest_codeword(
 def dual_basis(code: GeneratorMatrixCode) -> GeneratorMatrixCode:
     """A basis of the dual code, as a GeneratorMatrixCode of dimension n-k.
 
-    Computed as the kernel of the generator transpose; cached per code.
+    Read off the reduction made at construction: each non-pivot column f of
+    rref(M) gives the kernel vector with 1 at f and -rref[:, f] at the
+    pivots. Cached per code.
     """
-    if code._dual is not None:
-        return code._dual
-    q = code.q
-    n = code.n
-    if code.k:
-        rref, piv = _rref(np.array(code.columns, dtype=np.int64), q)
-        piv_set = set(piv)
-        basis = []
-        for f in range(n):
-            if f in piv_set:
-                continue
-            v = [0] * n
-            v[f] = 1
-            for r, p in enumerate(piv):
-                v[p] = (-int(rref[r, f])) % q
-            basis.append(tuple(v))
-    else:
-        basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    code._dual = GeneratorMatrixCode(q, basis, n=n)
+    if code._dual is None:
+        free = np.setdiff1d(np.arange(code.n), code._pivots)
+        basis = np.zeros((len(free), code.n), dtype=np.int64)
+        basis[np.arange(len(free)), free] = 1
+        basis[:, code._pivots] = reduce_mod(-code._rref[:, free].T, code.q)
+        code._dual = GeneratorMatrixCode(code.q, basis, n=code.n)
     return code._dual
-
-
-def _dual_matrix(code: GeneratorMatrixCode) -> np.ndarray:
-    if code._dual_matrix is None:
-        dual = dual_basis(code)
-        code._dual_matrix = np.array(dual.columns, dtype=np.int64).reshape(
-            dual.k, code.n
-        )
-    return code._dual_matrix
 
 
 def is_codeword(code: GeneratorMatrixCode, w: Sequence[int]) -> bool:
     """Membership via orthogonality against the cached dual basis."""
     if len(w) != code.n:
         raise ValueError(f"word must have length {code.n}")
-    h = _dual_matrix(code)
-    if h.shape[0] == 0:
-        return True
+    h = dual_basis(code).columns
     syn = h @ (np.asarray(w, dtype=np.int64) % code.q) % code.q
     return not syn.any()
 
@@ -410,11 +395,16 @@ def bounded_distance_decode(
     if len(w) != code.n:
         raise ValueError(f"word must have length {code.n}")
     q = code.q
-    _require_budget(
-        sum(math.comb(code.n, wt) * (q - 1) ** wt for wt in range(max_wt + 1)),
-        "bounded-distance pattern scan",
-    )
-    h = _dual_matrix(code)
+    budget = oracle_budget()
+    count = 0
+    for wt in range(max_wt + 1):
+        count += math.comb(code.n, wt) * (q - 1) ** wt
+        if count > budget:
+            raise OracleBudgetExceeded(
+                f"bounded-distance pattern scan to weight {max_wt} exceeds "
+                f"the budget, {budget}"
+            )
+    h = dual_basis(code).columns
     w_arr = np.asarray(w, dtype=np.int64) % q
     syn_w = h @ w_arr % q
     for wt in range(max_wt + 1):

@@ -149,7 +149,7 @@ def d_balanced_check(base: CyclicCode, d: int) -> bool:
     Exhaustive over the base code's q^k codewords, budget-guarded.
     """
     code = base.generator_code
-    _require_budget(code.q**code.k, "d-balanced check")
+    _require_budget(code.q, code.k, "d-balanced check")
     return _min_nonzero(code, lambda block: _balanced_weights(block, code.q)) >= d
 
 

@@ -85,7 +85,7 @@ class CyclicCode:
         cols = np.zeros((self.k, self.n), dtype=np.int64)
         for i in range(self.k):
             cols[i, i : i + len(self.g)] = self.g
-        return GeneratorMatrixCode(self.q, cols.tolist(), n=self.n)
+        return GeneratorMatrixCode(self.q, cols, n=self.n)
 
     def quotient(self, c: Sequence[int]) -> Optional[np.ndarray]:
         """r with c = r*g, padded to length n, or None when c is no codeword.

@@ -183,7 +183,7 @@ class IdentityOverCirculants:
         """Generator whose column j is the codeword of the j-th unit message."""
         eye = np.eye(self.k, dtype=np.int64)
         blocks = [eye] + [a.act(eye, self.q) for a in self.circulants]
-        return GeneratorMatrixCode(self.q, np.hstack(blocks).tolist())
+        return GeneratorMatrixCode(self.q, np.hstack(blocks))
 
 
 class SidonDCCode(IdentityOverCirculants):

@@ -140,10 +140,14 @@ def rm_code(r: int, m: int) -> RMCode:
 
 def rm_encode(code: RMCode, coeffs: Sequence[int]) -> Word:
     """Evaluation vector of the polynomial with the given monomial
-    coefficients, in the code's monomial order."""
+    coefficients, in the code's monomial order: the XOR of the table rows
+    of the odd coefficients, reduced in place, so the table is not copied."""
     if len(coeffs) != code.k:
         raise ValueError(f"need {code.k} coefficients")
-    return tuple(((np.asarray(coeffs) & 1) @ code.evaluations % 2).tolist())
+    odd = gf2_bits(coeffs).view(bool)[:, None]
+    return tuple(
+        np.bitwise_xor.reduce(code.evaluations, axis=0, where=odd, initial=0).tolist()
+    )
 
 
 def _majority(code: RMCode, v: int) -> tuple[int, bytearray]:

@@ -118,10 +118,8 @@ def _crit_rm_facts() -> str:
         dist = brute_force_distance(rm_code(r, m).generator_code)
         assert dist == 1 << (m - r), f"RM({r},{m}) distance {dist}"
     for r, m in [(1, 3), (1, 4), (2, 4)]:
-        g1 = np.array(rm_code(r, m).generator_code.columns, dtype=np.int64)
-        g2 = np.array(
-            rm_code(m - r - 1, m).generator_code.columns, dtype=np.int64
-        )
+        g1 = rm_code(r, m).generator_code.columns
+        g2 = rm_code(m - r - 1, m).generator_code.columns
         assert not (g1 @ g2.T % 2).any(), f"RM({r},{m}) not orthogonal to dual"
     return f"{len(pairs)} exact distances, 3 orthogonality checks"
 
@@ -164,8 +162,7 @@ def _crit_punctured_cyclicity() -> str:
         assert cyclic.k == pcode.shortened.k + 1 == pcode.full.k, f"RM*({r},{m}) rank"
         code = GeneratorMatrixCode(2, rows)
         for col in code.columns:
-            shifted = tuple(np.roll(np.array(col), 1))
-            assert is_codeword(code, shifted), f"RM*({r},{m}) not cyclic"
+            assert is_codeword(code, np.roll(col, 1)), f"RM*({r},{m}) not cyclic"
     return "shift closure holds for RM*(1,3), RM*(2,4), RM*(1,4)"
 
 

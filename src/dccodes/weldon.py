@@ -227,7 +227,7 @@ class WeldonCode:
     def code(self) -> GeneratorMatrixCode:
         """Generator whose column j is the codeword of the j-th unit message."""
         eye = np.eye(self.dimension, dtype=np.int64)
-        return GeneratorMatrixCode(self.q, self.fold_encode(eye).tolist())
+        return GeneratorMatrixCode(self.q, self.fold_encode(eye))
 
     def __repr__(self) -> str:
         return f"WeldonCode(q={self.q}, k={self.k}, t={self.t})"

@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+from maxrss import run_measured
 from dccodes import cli
 from dccodes.design_dc import build_sidon_dc, dc_encode
 from dccodes.sidon import sidon_for_length
@@ -150,17 +151,6 @@ def _digit_lines(rows: np.ndarray) -> bytes:
 # ~51 MB as uint8 rows (Python 3.11, numpy 2.4, Linux).
 LARGE_DECODE_MAX_RSS_MB = 64
 
-# Runs argv[2:] and writes its exit code and peak RSS to the file argv[1].
-# A child's ru_maxrss starts from its parent's RSS at exec, so the command
-# runs under this small interpreter rather than under pytest.
-_MAXRSS_WRAPPER = """
-import resource, subprocess, sys
-rc = subprocess.call(sys.argv[2:])
-usage = resource.getrusage(resource.RUSAGE_CHILDREN)
-open(sys.argv[1], "w").write(f"{rc} {usage.ru_maxrss}")
-"""
-
-
 def test_decode_of_a_large_file_stays_small(tmp_path):
     # 1000 sidon-dc k=2000 words with 2 errors each
     k, count = 2000, 1000
@@ -173,23 +163,17 @@ def test_decode_of_a_large_file_stays_small(tmp_path):
     words = np.hstack([messages, np.vstack(parity)])
     for row in words:
         row[rng.choice(2 * k, 2, replace=False)] ^= 1
-    desc, infile, report = (tmp_path / n for n in ("d.json", "w.txt", "report"))
+    desc, infile = tmp_path / "d.json", tmp_path / "w.txt"
     loaded = cli.build_family("sidon-dc", {"q": 2, "k": k})
     desc.write_text(cli.dump_descriptor(loaded.descriptor))
     infile.write_bytes(_digit_lines(words))
     start = time.perf_counter()
-    res = subprocess.run(
-        [sys.executable, "-c", _MAXRSS_WRAPPER, str(report),
-         *CLI, "decode", str(desc), "--in", str(infile)],
-        capture_output=True,
-    )
+    res, peak_mb = run_measured([*CLI, "decode", str(desc), "--in", str(infile)])
     elapsed = time.perf_counter() - start
-    rc, maxrss = map(int, report.read_text().split())
-    assert rc == 0, res.stderr[-500:]
+    assert res.returncode == 0, res.stderr[-500:]
     assert res.stdout == _digit_lines(messages)
     notes = res.stderr.decode().splitlines()
     assert notes == [f"word {i}: corrected 2 errors" for i in range(1, count + 1)]
-    peak_mb = maxrss / 1024  # KiB on Linux
     assert peak_mb < LARGE_DECODE_MAX_RSS_MB, f"{peak_mb:.1f} MB in {elapsed:.2f} s"
 
 
@@ -330,6 +314,24 @@ def test_analyze(k18_descriptor):
     )
     assert res.returncode == 0
     assert "skipped" in res.stdout
+
+
+@pytest.mark.parametrize("k", [2000, 20000])
+def test_analyze_skips_before_building_the_matrix_view(tmp_path, k):
+    # the k x 2k generator and its reduction would take GBs at k = 20000,
+    # and 2^20000 has more digits than Python turns into a str
+    desc = tmp_path / "d.json"
+    loaded = cli.build_family("sidon-dc", {"q": 2, "k": k})
+    desc.write_text(cli.dump_descriptor(loaded.descriptor))
+    start = time.perf_counter()
+    res, peak_mb = run_measured(
+        [*CLI, "analyze", str(desc), "--exact-distance", "--balanced"], text=True
+    )
+    elapsed = time.perf_counter() - start
+    assert res.returncode == 0 and not res.stderr, res.stderr[-500:]
+    skipped = [line for line in res.stdout.splitlines() if "skipped" in line]
+    assert len(skipped) == 2 and all(f"needs 2^{k} codeword" in s for s in skipped)
+    assert peak_mb < 60 and elapsed < 5, (peak_mb, elapsed)
 
 
 def test_selftest_subcommand():

@@ -281,17 +281,60 @@ def test_dual_basis_examples():
     }
 
 
+def _assert_dual(code):
+    dual = dual_basis(code)
+    assert dual.k == code.n - code.k
+    assert not (dual.columns @ code.columns.T % code.q).any()
+    return dual
+
+
 def test_dual_of_dual_spans_original():
     rng = random.Random(31)
-    for q in (2, 3):
+    for q in (2, 3, 5):
         for _ in range(8):
             n = rng.randrange(4, 13)
             k = rng.randrange(1, n)
             code = _random_code(rng, q, n, k)
-            double = dual_basis(dual_basis(code))
+            double = dual_basis(_assert_dual(code))
             assert double.k == code.k
             for col in code.columns:
                 assert is_codeword(double, col)
+
+
+@pytest.mark.parametrize("lead", ["zero", "dependent"])
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_dual_basis_with_pivots_past_the_leading_columns(q, lead):
+    # two leading coordinates that are zero, or multiples of the third,
+    # move the pivots of rref(M) off the first k columns
+    rng = random.Random(33 + q)
+    for _ in range(8):
+        n = rng.randrange(5, 12)
+        k = rng.randrange(2, n - 2)
+        base = _random_code(rng, q, n - 2, k).columns
+        first = base[:, :1] * (lead == "dependent")
+        code = GeneratorMatrixCode(q, np.hstack([first, 2 * first % q, base]))
+        assert code._pivots.tolist() != list(range(k))
+        dual = _assert_dual(code)
+        assert dual_basis(dual).k == k
+        m = tuple(rng.randrange(q) for _ in range(k))
+        assert code.unencode(code.encode(m)) == m
+
+
+def test_dual_basis_reuses_the_construction_reduction(monkeypatch):
+    shapes = []
+    rref = code_core._rref
+
+    def counted(mat, q):
+        shapes.append(mat.shape)
+        return rref(mat, q)
+
+    monkeypatch.setattr(code_core, "_rref", counted)
+    code = GeneratorMatrixCode(3, [(1, 2, 0, 1, 1), (0, 0, 1, 2, 1)])
+    assert shapes == [(2, 7)]  # [M | I]
+    dual_basis(code)
+    dual_basis(code)
+    # the dual's own [H | I] at its construction, and no second reduction of M
+    assert shapes == [(2, 7), (3, 8)]
 
 
 def test_is_codeword_examples():
@@ -327,6 +370,17 @@ def test_oracle_budget_enforced(monkeypatch):
     monkeypatch.setenv("ORACLE_BUDGET", "not-a-number")
     with pytest.raises(ValueError):
         brute_force_distance(code)
+
+
+def test_budget_refusal_states_the_count_as_a_power(monkeypatch):
+    # 2^20000 has more digits than Python turns into a str
+    with pytest.raises(OracleBudgetExceeded, match=r"^distance scan needs 2\^20000 "):
+        code_core._require_budget(2, 20000, "distance scan")
+    monkeypatch.setenv("ORACLE_BUDGET", "81")
+    code_core._require_budget(3, 4, "scan")  # exactly the budget
+    code_core._require_budget(7, 0, "scan")
+    with pytest.raises(OracleBudgetExceeded, match=r"needs 3\^5 .* budget is 81$"):
+        code_core._require_budget(3, 5, "scan")
 
 
 def test_capability_is_ceil_minus_one():
@@ -375,6 +429,14 @@ def test_bounded_distance_decode_budget_guard(monkeypatch):
         bounded_distance_decode(code, (0,) * 36, 4)
     monkeypatch.setenv("ORACLE_BUDGET", "7807")
     assert bounded_distance_decode(code, (0,) * 36, 4).codeword == (0,) * 36
+
+
+def test_bounded_distance_decode_refuses_a_huge_pattern_count():
+    # the count at length 15000 to weight 6999 has more digits than Python
+    # turns into a str, and the refusal comes before it is summed
+    code = GeneratorMatrixCode(2, [(1,) * 15000])
+    with pytest.raises(OracleBudgetExceeded, match="to weight 6999 exceeds the budget"):
+        bounded_distance_decode(code, (0,) * 15000, 7000)
 
 
 def test_bounded_distance_decode_chunking_keeps_scan_order(monkeypatch):

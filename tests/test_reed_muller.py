@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import rmref
+from maxrss import run_script
 from dccodes import reed_muller
 from dccodes.code_core import (
     FAIL,
@@ -39,6 +40,34 @@ def test_rm_encode_examples():
     quad = rm_code(2, 2)
     assert rm_encode(quad, (0, 0, 0, 1)) == (0, 0, 0, 1)
     assert rm_encode(quad, (1, 1, 0, 0)) == (1, 0, 1, 0)
+
+
+def test_rm_encode_matches_the_generator_product():
+    # only a coefficient's parity counts, negative and past 255 too
+    rng = random.Random(43)
+    for r, m in [(0, 3), (1, 4), (2, 5), (3, 6), (6, 6), (2, 8)]:
+        code = rm_code(r, m)
+        for _ in range(5):
+            coeffs = [rng.randrange(-300, 300) for _ in range(code.k)]
+            assert rm_encode(code, coeffs) == code.generator_code.encode(coeffs)
+
+
+def test_rm_encode_makes_no_copy_of_the_table():
+    # an int64 product would copy RM(6, 12)'s 2510 x 4096 table: +59 MB
+    out = run_script(
+        """
+import json, random, resource
+from dccodes.reed_muller import rm_code, rm_encode
+code = rm_code(6, 12)
+code.evaluations
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+rm_encode(code, [random.Random(6).randrange(2) for _ in range(code.k)])
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({"grew": after - before}))
+""",
+        timeout=60,
+    )
+    assert out["grew"] < 5 * 1024, out  # KiB on Linux
 
 
 def test_rm_parameters():

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rmref
-from dccodes.reed_muller import reed_majority, rm_code
+from dccodes.reed_muller import reed_majority, rm_code, rm_encode
 
 FIXED = settings(max_examples=12, derandomize=True, database=None, deadline=None)
 SAMPLED = settings(max_examples=3, derandomize=True, database=None, deadline=None)
@@ -36,9 +36,7 @@ def words(draw, code):
             rows.append(_bits(draw(st.integers(0, (1 << n) - 1)), n))
             continue
         msg = _bits(draw(st.integers(0, (1 << code.k) - 1)), code.k)
-        # rm_encode, without its k x n int64 copy of the table: uint8 sums
-        # wrap mod 256, which keeps their parity
-        w = np.array(msg, dtype=np.uint8) @ code.evaluations % 2
+        w = np.array(rm_encode(code, msg), dtype=np.uint8)
         flips = st.integers(0, n - 1)
         for pos in draw(st.lists(flips, max_size=radius + 2, unique=True)):
             w[pos] ^= 1
