@@ -12,10 +12,10 @@ poly_irreducible take such arrays (any int sequence is read into one) plus q.
 
 circulant_product computes every circulant (cyclic convolution) product:
 the circulant blocks of every family, cyclic_mul, poly_mul and the rm-dc
-division by the check polynomial. A single q=2 vector is packed into one
-Python int and multiplied by gf2_circulant, the one GF(2) circulant kernel,
-which the Sidon majority decoder shares; batches and every q > 2 take one
-numpy slice-add per nonzero term.
+division by the check polynomial. At q=2 a vector, or every row of a batch
+in its own lane, is packed into one Python int and multiplied by
+gf2_circulant, the one GF(2) circulant kernel, which the Sidon majority
+decoder shares; every q > 2 takes one numpy slice-add per nonzero term.
 
 The quotient-ring section validates (q, k) and keeps reference arithmetic
 (reduce_mod_pk, quotient_mul) for the tests; the Wozencraft codes compute
@@ -124,7 +124,7 @@ def gf2_bits(x) -> np.ndarray:
 
 
 def pack_bits(bits: np.ndarray) -> int:
-    """The int whose bit i is bits[i], for a 1-D array of 0/1 entries."""
+    """The int whose bit i is entry i of bits, a 0/1 array read flattened."""
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
@@ -134,26 +134,50 @@ def unpack_bits(v: int, k: int) -> np.ndarray:
     return np.unpackbits(raw, count=k, bitorder="little")
 
 
-def gf2_circulant(terms: Sequence[tuple[int, int]], v: int, k: int) -> int:
-    """A*x over F_2 with x packed into the k-bit int v (bit i is x_i).
+def lane_mask(k: int, rows: int) -> int:
+    """The low k bits of each of rows lanes 2k bits wide: the bits of a
+    packed int that hold one length-k vector per row (gf2_circulant)."""
+    mask, lanes = (1 << k) - 1, 1
+    while lanes < rows:
+        mask |= mask << 2 * k * lanes
+        lanes *= 2
+    return mask & ((1 << 2 * k * rows) - 1)
 
-    A*x is the XOR of x rotated up by s for every term (s, a) with a odd:
-    bits k-s .. 2k-s-1 of x laid twice end to end.
+
+def gf2_circulant(
+    terms: Sequence[tuple[int, int]], v: int, k: int, mask: int | None = None
+) -> int:
+    """A*x over F_2 for every vector x packed in v, one per lane of 2k bits.
+
+    Bit i of lane r, bit 2kr + i of v, is x_i of row r, and the high half of
+    every lane is zero. mask is lane_mask(k, rows); by default v is one
+    lane, the k-bit int of one x. A*x is the XOR of x rotated up by s for
+    every term (s, a) with a odd: bits k-s .. 2k-s-1 of each lane of
+    v | v << k, which holds its x twice end to end.
     """
     twice = v | v << k
     out = 0
     for s, a in terms:
         if a & 1:
             out ^= twice >> (k - s)
-    return out & ((1 << k) - 1)
+    return out & ((1 << k) - 1 if mask is None else mask)
 
 
 def _packed_product(
     terms: Sequence[tuple[int, int]], bits: np.ndarray, k: int
 ) -> np.ndarray:
-    """A*x over F_2 for one vector of at most k 0/1 bits (gf2_bits), zero
-    padded to length k, on one packed int; returns k uint8 bits."""
-    return unpack_bits(gf2_circulant(terms, pack_bits(bits), k), k)
+    """A*x over F_2 on one packed int (gf2_circulant) for a vector x of at
+    most k 0/1 bits (gf2_bits), zero padded to length k, or for every row of
+    an array of them, row r in lane r; returns uint8 bits, k per row. One
+    vector needs no lane buffer: its lane is the int pack_bits(x).
+    """
+    if bits.ndim == 1:
+        return unpack_bits(gf2_circulant(terms, pack_bits(bits), k), k)
+    lanes = np.zeros((*bits.shape[:-1], 2 * k), dtype=np.uint8)
+    lanes[..., : bits.shape[-1]] = bits
+    rows = lanes.size // (2 * k)
+    v = gf2_circulant(terms, pack_bits(lanes), k, lane_mask(k, rows))
+    return unpack_bits(v, lanes.size).reshape(lanes.shape)[..., :k]
 
 
 def circulant_product(terms: Sequence[tuple[int, int]], x, q: int) -> np.ndarray:
@@ -162,39 +186,20 @@ def circulant_product(terms: Sequence[tuple[int, int]], x, q: int) -> np.ndarray
 
     x is a length-k vector or an (N, k) array of rows, and every s lies in
     range(k). Returns an int64 array shaped like x, reduced mod q. Entry i is
-    the sum over terms of a * x_(i-s mod k), computed exactly in one of two
-    regimes, chosen by q and the shape of x alone:
+    the sum over terms of a * x_(i-s mod k), computed exactly in the regime
+    that q alone picks:
 
-    - packed (q=2, one vector; _packed_product): x becomes one Python int
-      (gf2_bits, pack_bits), A*x the XOR of its rotations by the odd terms
-      (gf2_circulant), and the result is unpacked. No int64 array is made
-      until the last step.
-    - slices (batches, and every q > 2): one pass over x per term, adding
-      the slice of x laid twice end to end that the term selects. It
-      refuses, with a ValueError, a column whose products would not fit in
-      int64: (q-1) * sum(a) must stay below 2^63.
-
-    One q=2 int64 vector against t terms, conversions included, 2-core host:
-
-    ==========================  ======  ===  ========  ========
-    case                          k      t   slices    packed
-    ==========================  ======  ===  ========  ========
-    Sidon k=59                     59     5      8 us      6 us
-    Sidon k=2000                 2000    31     46 us     16 us
-    rm-dc m=8 g                   255    80     64 us     15 us
-    rm-dc m=8 h (quotient, 2n)    510    39     40 us     12 us
-    rm-dc m=10 g                 1023   320    299 us     52 us
-    rm-dc m=11 h (quotient, 2n)  4094   523    886 us    161 us
-    ==========================  ======  ===  ========  ========
-
-    Batches stay on slices: each slice-add moves a whole (N, k) array at
-    once, where the packed regime would loop over the rows in Python.
+    - packed (q=2; _packed_product): x becomes bits (gf2_bits), every row
+      one lane of one Python int, and A*x the XOR of its rotations by the
+      odd terms (gf2_circulant). No int64 array is made until the last step.
+    - slices (q > 2): one pass over x per term, adding the slice of x laid
+      twice end to end that the term selects. It refuses, with a
+      ValueError, a column whose products would not fit in int64:
+      (q-1) * sum(a) must stay below 2^63.
     """
-    # an ndarray batch skips gf2_bits; a nested list is found a batch by it
-    if q == 2 and getattr(x, "ndim", 1) == 1:
+    if q == 2:
         x = gf2_bits(x)
-        if x.ndim == 1:
-            return _packed_product(terms, x, len(x)).astype(np.int64)
+        return _packed_product(terms, x, x.shape[-1]).astype(np.int64)
     return _slice_product(terms, x, q)
 
 

@@ -296,7 +296,9 @@ def _load_or_report(command: str, path: str) -> Optional[LoadedCode]:
         return load_descriptor(path)
     except (OSError, ValueError, LookupError) as exc:
         print(f"{command}: {exc}", file=sys.stderr)
-        return None
+    except RecursionError:  # json's parser on deeply nested arrays
+        print(f"{command}: descriptor nests too deeply", file=sys.stderr)
+    return None
 
 
 # ---------------------------------------------------------------------------

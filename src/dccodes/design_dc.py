@@ -7,16 +7,16 @@ is exactly what drives the majority decoder's radius d/(2b).
 
 The decoder keeps no table with the code: the vote of support element s
 for coordinate i is entry i + s of y laid twice end to end, so every vote
-set is a slice or a shift. One q=2 word runs on Python ints: it is packed
-into an int whose bit i is symbol i (algebra.gf2_bits and pack_bits), A*x
-is algebra.gf2_circulant, the XOR of rotations that every q=2 circulant
-product of one vector uses, and the d votes per coordinate are summed in a
-bit-sliced counter of d.bit_length() planes. Binary votes of one word or of
-a batch elect 1 against one shared threshold, d//2 + 1 (ceil(d/2) under the
+set is a slice or a shift. q=2 words, one or a batch, run on one Python int:
+row r is lane r, 2k bits wide, and bit i of a lane is symbol i of its word
+(algebra.gf2_bits and pack_bits). A*x is algebra.gf2_circulant, the XOR of
+rotations that every q=2 circulant product uses, and the d votes per
+coordinate are summed in a bit-sliced counter of d.bit_length() planes.
+Binary votes elect 1 against the threshold d//2 + 1 (ceil(d/2) under the
 self-test tie hook), and q > 2 votes go through column_majority, which
 never loops over the q field values. Whatever q and k are, the q > 2 votes
-take about PATTERN_CHUNK^2 int64 entries at a time, and q=2 ones k small
-ints per row.
+take about PATTERN_CHUNK^2 int64 entries at a time, and q=2 ones a few ints
+of 2k bits per row.
 
 This module also holds the circulant matrix type and the
 identity-over-circulants core that all three families (Sidon, cyclic and
@@ -41,6 +41,7 @@ from .algebra import (
     cyclic_mul,
     gf2_bits,
     gf2_circulant,
+    lane_mask,
     pack_bits,
     reduce_mod,
     unpack_bits,
@@ -246,12 +247,6 @@ def _tie_high() -> bool:
     return bool(os.environ.get(TIE_HOOK_ENV))
 
 
-def _ones_threshold(d: int) -> int:
-    """Fewest ones among d binary votes that elect 1: d//2 + 1, so a tie
-    elects 0, or ceil(d/2) under the self-test mutation hook."""
-    return (d + 1) // 2 if _tie_high() else d // 2 + 1
-
-
 def column_majority(votes, q: int) -> np.ndarray:
     """Most frequent value in each column of votes, entries in [0, q).
 
@@ -263,8 +258,6 @@ def column_majority(votes, q: int) -> np.ndarray:
     catches wrong guesses anyway.
     """
     votes = np.asarray(votes, dtype=np.int64)
-    if q == 2:
-        return (votes.sum(axis=0) >= _ones_threshold(len(votes))).astype(np.int64)
     # Each slot's key, count*q - value, orders by how many slots agree with
     # it and then by the smaller value (count*q + value and the larger value
     # under the hook), so the largest key names the winner; no loop runs over
@@ -280,28 +273,31 @@ def column_majority(votes, q: int) -> np.ndarray:
     return best % q if tie_high else -best % q
 
 
-def _bit_decode(code: SidonDCCode, bits: np.ndarray) -> tuple[np.ndarray, bool]:
-    """majority_decode of one q=2 word of 2k bits (gf2_bits) on Python ints,
-    with the codeword returned as uint8 bits.
+def _bit_decode(
+    code: SidonDCCode, bits: np.ndarray
+) -> tuple[np.ndarray, bool | np.ndarray]:
+    """majority_decode of a q=2 word of 2k bits (gf2_bits), or of every row
+    of an array of them, on one Python int: row r is lane r, 2k bits wide,
+    w0 in its low half and w1 in its high half. Returns uint8 codewords
+    shaped like bits, and a bool for one word or a bool array per row.
 
-    The word is packed into an int whose bit i is symbol i, and both products
-    A*x are algebra.gf2_circulant. The vote of support element s for
-    coordinate i is y rotated down by s. The d votes are added into
-    d.bit_length() bit planes (a bit-sliced counter, Biham 1997), which are
-    compared with the threshold most significant plane first.
+    Both products A*x are algebra.gf2_circulant over every lane at once. The
+    vote of support element s for coordinate i is y rotated down by s. The d
+    votes are added into d.bit_length() bit planes (a bit-sliced counter,
+    Biham 1997), compared with the threshold most significant plane first.
     """
     k, d = code.k, code.profile.d
-    if bits.shape != (2 * k,):
+    if bits.shape[-1:] != (2 * k,):
         raise ValueError(f"word must have length {2 * k}")
     terms = code.circulant.terms
-    mask = (1 << k) - 1
+    mask = lane_mask(k, bits.size // (2 * k))
     word = pack_bits(bits)
-    w0, w1 = word & mask, word >> k
-    y = gf2_circulant(terms, w0, k) ^ w1
+    w0, w1 = word & mask, word >> k & mask
+    y = gf2_circulant(terms, w0, k, mask) ^ w1
     twice = y | y << k
     planes = [0] * d.bit_length()
     for s in code.circulant.support:
-        carry = twice >> s & mask  # the mask keeps every plane k bits wide
+        carry = twice >> s & mask  # the mask keeps every plane k bits per lane
         for j, plane in enumerate(planes):
             planes[j] = plane ^ carry
             carry &= plane
@@ -310,7 +306,8 @@ def _bit_decode(code: SidonDCCode, bits: np.ndarray) -> tuple[np.ndarray, bool]:
     # z = [count >= t], most significant plane first: level keeps the columns
     # that hold every 1 bit of t read so far, and such a column with a 1
     # where t has a 0 is above t
-    t = _ones_threshold(d)
+    # the fewest ones that elect 1: d//2 + 1, or ceil(d/2) under the tie hook
+    t = (d + 1) // 2 if _tie_high() else d // 2 + 1
     above, level = 0, mask
     for j in reversed(range(len(planes))):
         if t >> j & 1:
@@ -319,9 +316,13 @@ def _bit_decode(code: SidonDCCode, bits: np.ndarray) -> tuple[np.ndarray, bool]:
             above |= level & planes[j]
     z = above | level
     c0 = w0 ^ z
-    c1 = gf2_circulant(terms, c0, k)
-    dist = z.bit_count() + (c1 ^ w1).bit_count()
-    return unpack_bits(c0 | c1 << k, 2 * k), 2 * code.profile.b * dist < d
+    c1 = gf2_circulant(terms, c0, k, mask)
+    c = unpack_bits(c0 | c1 << k, bits.size).reshape(bits.shape)
+    if bits.ndim == 1:
+        dist = z.bit_count() + (c1 ^ w1).bit_count()
+    else:
+        dist = np.count_nonzero(c != bits, axis=-1)
+    return c, 2 * code.profile.b * dist < d
 
 
 def majority_decode(code: SidonDCCode, w) -> tuple[np.ndarray, np.ndarray]:
@@ -333,20 +334,17 @@ def majority_decode(code: SidonDCCode, w) -> tuple[np.ndarray, np.ndarray]:
     below d/(2b). Returns the codewords, an int64 array shaped like w, and
     whether each lies strictly within that radius of its word.
 
-    One q=2 word is decoded on Python ints (_bit_decode). Otherwise the vote
-    of support element s for coordinate i is y[i + s] of y laid twice end to
-    end: q=2 rows add their d slices into a small-int count, and q > 2 takes
-    column_majority of the stacked slices, PATTERN_CHUNK // d rows and
-    PATTERN_CHUNK columns at a time, so that (d, rows, columns) stack holds
-    about PATTERN_CHUNK^2 entries whatever k is. No vote table is kept with
-    the code.
+    q=2 words, one or a batch, are decoded on one Python int (_bit_decode).
+    For q > 2 the vote of support element s for coordinate i is y[i + s] of
+    y laid twice end to end, and column_majority takes the stacked slices
+    PATTERN_CHUNK // d rows and PATTERN_CHUNK columns at a time, so that
+    (d, rows, columns) stack holds about PATTERN_CHUNK^2 entries whatever k
+    is. No vote table is kept with the code.
     """
     k, q, d = code.k, code.q, code.profile.d
-    if q == 2 and getattr(w, "ndim", 1) == 1:
-        w = gf2_bits(w)
-        if w.ndim == 1:
-            c, ok = _bit_decode(code, w)
-            return c.astype(np.int64), np.bool_(ok)
+    if q == 2:
+        c, ok = _bit_decode(code, gf2_bits(w))
+        return c.astype(np.int64), np.bool_(ok)
     w = reduce_mod(np.asarray(w, dtype=np.int64), q)
     if w.shape[-1] != 2 * k:
         raise ValueError(f"word must have length {2 * k}")
@@ -359,19 +357,12 @@ def majority_decode(code: SidonDCCode, w) -> tuple[np.ndarray, np.ndarray]:
     y = reduce_mod(code.circulant.act(w0, q) - w1, q)
     twice = np.concatenate([y, y], axis=-1)
     supp = code.circulant.support
-    if q == 2:
-        twice = twice.astype(np.uint8 if d < 256 else np.uint16)
-        count = twice[..., supp[0] : supp[0] + k].copy()
-        for s in supp[1:]:
-            count += twice[..., s : s + k]
-        z = (count >= _ones_threshold(d)).astype(np.int64)
-    else:
-        parts = []
-        for c in range(0, k, PATTERN_CHUNK):
-            end = min(c + PATTERN_CHUNK, k)
-            votes = np.array([twice[..., s + c : s + end] for s in supp])
-            parts.append(column_majority(votes, q))
-        z = np.concatenate(parts, axis=-1)
+    parts = []
+    for c in range(0, k, PATTERN_CHUNK):
+        end = min(c + PATTERN_CHUNK, k)
+        votes = np.array([twice[..., s + c : s + end] for s in supp])
+        parts.append(column_majority(votes, q))
+    z = np.concatenate(parts, axis=-1)
     c0 = reduce_mod(w0 - z, q)
     c = np.concatenate([c0, code.circulant.act(c0, q)], axis=-1)
     # strict rational comparison: dist < d / (2b)
@@ -384,6 +375,8 @@ def design_decode(code: SidonDCCode, w: Sequence[int]) -> DecodeOutcome:
         c, ok = _bit_decode(code, gf2_bits(w))
     else:
         c, ok = majority_decode(code, w)
+    if c.ndim != 1:
+        raise ValueError(f"word must have length {2 * code.k}")
     if not ok:
         return FAIL
     c = tuple(c.tobytes() if code.q == 2 else c.tolist())

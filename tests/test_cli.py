@@ -296,6 +296,14 @@ def test_malformed_descriptor_exits_one(tmp_path, doc, message):
     assert res.stderr.startswith("encode: ") and message in res.stderr
 
 
+@pytest.mark.parametrize("command", ["encode", "decode", "analyze", "bench"])
+def test_deeply_nested_descriptor_exits_one(tmp_path, command, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert cli.main([command, str(path)]) == 1
+    assert capsys.readouterr() == ("", f"{command}: descriptor nests too deeply\n")
+
+
 def test_params_find_k():
     res = _run(["params", "find-k", "--q", "2", "--min", "6"])
     assert res.returncode == 0

@@ -91,7 +91,7 @@ def test_circulant_act_matches_cyclic_mul(q, k, density):
     out = a.act(np.array(batch), q)
     assert out.dtype == np.int64 and out.shape == (len(batch), k)
     assert [tuple(r) for r in out.tolist()] == expected
-    # both regimes, whichever one circulant_product picks for this shape
+    # both regimes, whichever one circulant_product picks for this q
     for row, exp in zip(batch, expected):
         out = algebra._slice_product(a.terms, row, q)
         assert out.dtype == np.int64 and tuple(out.tolist()) == exp
@@ -101,8 +101,8 @@ def test_circulant_act_matches_cyclic_mul(q, k, density):
 
 
 def test_circulant_product_regime_selection(monkeypatch):
-    # one q=2 vector takes the packed regime, whatever its column; batches
-    # and q > 2 take the slices
+    # q alone picks the regime: every q=2 operand, one vector or a batch,
+    # takes the packed lanes, and q > 2 takes the slices
     rm8 = build_rm_dual_dc(8)
     sidon = build_sidon_dc(2, 2000, sidon_for_length(2000))
     calls = []
@@ -113,11 +113,11 @@ def test_circulant_product_regime_selection(monkeypatch):
         )
     for circulant, x, q, regime in [
         (rm8.circulant, np.ones(rm8.k, dtype=np.int64), 2, "_packed_product"),
-        (rm8.circulant, np.ones((2, rm8.k), dtype=np.int64), 2, "_slice_product"),
+        (rm8.circulant, np.ones((2, rm8.k), dtype=np.int64), 2, "_packed_product"),
         (rm8.circulant, np.ones(rm8.k, dtype=np.int64), 3, "_slice_product"),
         (sidon.circulant, np.ones(sidon.k, dtype=np.int64), 2, "_packed_product"),
         (sidon.circulant, [1] * sidon.k, 2, "_packed_product"),
-        (sidon.circulant, np.ones((3, sidon.k), dtype=np.int64), 2, "_slice_product"),
+        (sidon.circulant, np.ones((3, sidon.k), dtype=np.int64), 2, "_packed_product"),
         (sidon.circulant, np.ones(sidon.k, dtype=np.int64), 5, "_slice_product"),
     ]:
         calls.clear()
@@ -130,8 +130,19 @@ def test_circulant_product_regime_selection(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("k", [1, 7, 9, 255, 1023, 2000])
-def test_packed_product_matches_reference(k):
+# (k, rows): one vector (rows None) at every k; at the Sidon sizes, whose 2k
+# bit lanes are not byte aligned, also (0, k), (1, k) and (5, k) batches
+PACKED_CASES = [(k, None) for k in (1, 7, 9, 255, 1023, 2000)] + [
+    (k, rows) for k in (18, 59, 242, 269) for rows in (None, 0, 1, 5)
+]
+
+
+@pytest.mark.parametrize(
+    "k,rows",
+    PACKED_CASES,
+    ids=[f"{k}" if r is None else f"{k}-{r}rows" for k, r in PACKED_CASES],
+)
+def test_packed_product_matches_reference(k, rows):
     # coefficient 2 drops out at q=2 and 3 acts as 1; x entries outside
     # {0, 1}, negatives included, reduce first
     rng = random.Random(f"packed-{k}")
@@ -139,6 +150,15 @@ def test_packed_product_matches_reference(k):
     for s in rng.sample(range(k), min(k, 2 * math.isqrt(k) + 1)):
         first[s] = rng.choice((1, 2, 3))
     terms = tuple((s, a) for s, a in enumerate(first) if a)
+    if rows is not None:
+        # a batch, one lane per row, equals the slices row by row
+        x = np.array([rng.randrange(-5, 300) for _ in range(rows * k)])
+        x = x.reshape(rows, k)
+        out = algebra.circulant_product(terms, x, 2)
+        assert out.dtype == np.int64 and out.shape == (rows, k)
+        for row, got in zip(x, out):
+            assert np.array_equal(got, algebra._slice_product(terms, row, 2))
+        return
     for _ in range(4):
         x = [rng.randrange(-5, 300) for _ in range(k)]
         exp = ref.cyclic_mul(first, x, k, 2)
@@ -147,10 +167,12 @@ def test_packed_product_matches_reference(k):
             assert out.dtype == np.int64 and tuple(out.tolist()) == exp
         out = algebra._packed_product(terms, algebra.gf2_bits(x), k)
         assert tuple(out.tolist()) == exp
-        # a message shorter than k is zero padded
+        # a message shorter than k is zero padded, an empty one included
         short = x[: k // 2 + 1]
         exp = ref.cyclic_mul(first, short, k, 2)
         assert tuple(algebra._packed_product(terms, algebra.gf2_bits(short), k)) == exp
+    for empty in ((), [], np.array([], dtype=np.int64)):
+        assert cyclic_mul(terms, empty, k, 2) == (0,) * k
 
 
 # sha256 of the generator columns, one line of digits per column, as the
@@ -415,7 +437,7 @@ def test_one_word_input_forms(q):
         assert design_decode(code, form) == expected
         c, ok = majority_decode(code, form)
         assert c.dtype == np.int64 and tuple(c.tolist()) == expected.codeword and ok
-    for bad in (tuple(w[:-1]), list(w) + [0], np.array(w[1:]), []):
+    for bad in (tuple(w[:-1]), list(w) + [0], np.array(w[1:]), [], [w, w]):
         with pytest.raises(ValueError, match="word must have length 36"):
             design_decode(code, bad)
 
