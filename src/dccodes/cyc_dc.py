@@ -81,6 +81,8 @@ class CyclicDCCode(IdentityOverCirculants):
         self.d_perp = d_perp
         self.decoder = decoder
         self.dual_decoder = dual_decoder
+        # the stage radii, made once so that no decode builds a Fraction
+        self.stage_radii = (Fraction(d, 2), Fraction(d_perp, 2))
         self.circulant = self.circulants[0]
         self.a = self.circulant.first_column
 
@@ -123,7 +125,8 @@ def cyc_dc_decode(code: CyclicDCCode, w: Sequence[int]) -> DecodeOutcome:
     bits = gf2_bits(w)
     w0, w1 = bits[:k], bits[k:]
 
-    out1 = code.decoder(w1, Fraction(code.d, 2))
+    radius1, radius0 = code.stage_radii
+    out1 = code.decoder(w1, radius1)
     if out1 is FAIL:
         return FAIL
     r = code.base.quotient(out1.codeword)
@@ -131,7 +134,7 @@ def cyc_dc_decode(code: CyclicDCCode, w: Sequence[int]) -> DecodeOutcome:
         return FAIL
     r = r.astype(np.uint8)
 
-    out0 = code.dual_decoder((w0 ^ r)[::-1], Fraction(code.d_perp, 2))
+    out0 = code.dual_decoder((w0 ^ r)[::-1], radius0)
     if out0 is FAIL:
         return FAIL
 

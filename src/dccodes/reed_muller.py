@@ -28,11 +28,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .algebra import build_gf2m, gf2_bits
+from .algebra import build_gf2m, gf2_bits, pack_bits, unpack_bits
 from .code_core import (
     FAIL,
     Decoded,
@@ -277,43 +277,53 @@ def _decode_lifts(
     w: Sequence[int],
     zero_values: tuple[int, ...],
     radius: Fraction | int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lift w to full length once per zero-point value, decode the lifts
-    with one reed_majority call, and puncture the answers.
+) -> Iterator[tuple[int, bytearray]]:
+    """Decode the lifts of w, one per zero-point value, and yield each
+    answer accepted, in the order of zero_values and only as asked for.
 
-    Returns the punctured codewords, the messages, and whether each lift
-    decoded to a codeword strictly within radius of w mod 2.
+    w is scattered into point order (pcode.ordering) and packed into one int
+    once; a lift sets bit 0, the zero point, and goes through _majority as
+    it is. The residual decides acceptance: its weight must stay under half
+    of 2^(m-r), the Reed radius, and its weight off bit 0, the distance of
+    the punctured answer to w, strictly under radius, compared in integers.
+    An answer is the full-length codeword as an int and the message bytes.
     """
     if len(w) != pcode.n:
         raise ValueError(f"word must have length {pcode.n}")
-    bits = gf2_bits(w)
-    lifts = np.empty((len(zero_values), pcode.full.n), dtype=np.uint8)
-    lifts[:, 0] = zero_values
-    lifts[:, pcode.ordering] = bits
-    cw, msg, ok = reed_majority(pcode.full, lifts)
-    pcw = cw.take(pcode.ordering, axis=1)
-    # dist < radius in integers: comparing an array with a Fraction is per entry
-    ok &= (pcw ^ bits).sum(axis=1) * radius.denominator < radius.numerator
-    return pcw, msg, ok
+    full = pcode.full
+    lift = np.zeros(full.n, dtype=np.uint8)
+    lift[pcode.ordering] = gf2_bits(w)
+    v = pack_bits(lift)
+    for z in zero_values:
+        residual, msg = _majority(full, v | z)
+        if (
+            2 * residual.bit_count() < 1 << (full.m - full.r)
+            and (residual >> 1).bit_count() * radius.denominator < radius.numerator
+        ):
+            yield v ^ z ^ residual, msg
 
 
-def _decoded(pcw: np.ndarray, msg: np.ndarray) -> Decoded:
-    return Decoded(tuple(pcw.tobytes()), tuple(msg.tobytes()))
+def _decoded(pcode: PuncturedRMCode, c: int, msg: bytearray) -> Decoded:
+    """The Decoded of a full-length codeword int, punctured, and its message."""
+    pcw = unpack_bits(c, pcode.full.n)[pcode.ordering]
+    return Decoded(tuple(pcw.tobytes()), tuple(msg))
 
 
 def punctured_rm_decode(
     pcode: PuncturedRMCode, w: Sequence[int], radius: Fraction | int
 ) -> DecodeOutcome:
-    """Decode the punctured code by trying both values at the missing point.
+    """Decode the punctured code by trying the values at the missing point.
 
-    Both lifts go through the full-length majority decoder as one 2-row
-    batch; results whose punctured codeword lies strictly within radius of w
-    are collected, and the answer must be unique to count.
+    The lift with 0 goes first, and the lift with 1 is decoded only if the
+    lift with 0 is not accepted. That loses no answer and lets through no
+    ambiguous one, at any radius: an accepted lift lies within 2^(m-r-1) - 1
+    of its codeword (the Reed radius), and the two lifts differ in one
+    point, so the codewords of two accepted lifts would lie within
+    2^(m-r) - 1 of each other, under the distance 2^(m-r) of RM(r, m). They
+    are one codeword with one message, and the first lift accepted gives it.
     """
-    pcw, msg, ok = _decode_lifts(pcode, w, (0, 1), radius)
-    pcw, msg = pcw[ok], msg[ok]
-    if len(pcw) and (pcw == pcw[0]).all():
-        return _decoded(pcw[0], msg[0])
+    for c, msg in _decode_lifts(pcode, w, (0, 1), radius):
+        return _decoded(pcode, c, msg)
     return FAIL
 
 
@@ -327,7 +337,7 @@ def shortened_dual_rm_decode(
     coefficient (message[0], the coefficient of the empty monomial), and the
     punctured result must lie strictly within radius.
     """
-    pcw, msg, ok = _decode_lifts(pcode, w, (0,), radius)
-    if ok[0] and msg[0, 0] == 0:
-        return _decoded(pcw[0], msg[0])
+    for c, msg in _decode_lifts(pcode, w, (0,), radius):
+        if msg[0] == 0:
+            return _decoded(pcode, c, msg)
     return FAIL

@@ -3,8 +3,11 @@
 This is reed_majority as dccodes ran it before the decoder moved onto folds
 of packed ints: one vote table per degree layer, every vote gathered
 through it and XOR-folded with numpy. The tests compare dccodes'
-reed_majority with it. The tables hold points as uint16 (m <= 16), so the
-m = 12 references stay a quarter of the intp size.
+reed_majority with it, and its stage decoders with punctured_rm_decode and
+shortened_dual_rm_decode here: the rule that decodes both lifts of a
+punctured word, with 0 and with 1 at the zero point, and accepts an answer
+only if every accepted lift gives it. The tables hold points as uint16
+(m <= 16), so the m = 12 references stay a quarter of the intp size.
 """
 
 from functools import lru_cache
@@ -12,7 +15,7 @@ from math import comb
 
 import numpy as np
 
-from dccodes.code_core import PATTERN_CHUNK
+from dccodes.code_core import FAIL, PATTERN_CHUNK, Decoded
 
 
 def _spread(variables, width):
@@ -70,3 +73,37 @@ def reed_majority(code, words):
         stop = start
     ok = 2 * working.sum(axis=-1) < 1 << (code.m - code.r)
     return received ^ working, msg, ok
+
+
+def _decode_lifts(pcode, w, zero_values, radius):
+    """Punctured codewords, messages and accept mask of the lifts of w, one
+    per zero-point value: within the Reed radius, and strictly within radius
+    of w once punctured."""
+    bits = (np.asarray(w, dtype=np.int64) & 1).astype(np.uint8)
+    if len(bits) != pcode.n:
+        raise ValueError(f"word must have length {pcode.n}")
+    lifts = np.empty((len(zero_values), pcode.full.n), dtype=np.uint8)
+    lifts[:, 0] = zero_values
+    lifts[:, pcode.ordering] = bits
+    cw, msg, ok = reed_majority(pcode.full, lifts)
+    pcw = cw[:, pcode.ordering]
+    ok &= (pcw ^ bits).sum(axis=1) * radius.denominator < radius.numerator
+    return pcw, msg, ok
+
+
+def punctured_rm_decode(pcode, w, radius):
+    """Both lifts decoded; an answer counts only if every accepted lift
+    gives it."""
+    pcw, msg, ok = _decode_lifts(pcode, w, (0, 1), radius)
+    pcw, msg = pcw[ok], msg[ok]
+    if len(pcw) and (pcw == pcw[0]).all():
+        return Decoded(tuple(pcw[0].tolist()), tuple(msg[0].tolist()))
+    return FAIL
+
+
+def shortened_dual_rm_decode(pcode, w, radius):
+    """The lift with 0, accepted only with a zero constant coefficient."""
+    pcw, msg, ok = _decode_lifts(pcode, w, (0,), radius)
+    if ok[0] and msg[0, 0] == 0:
+        return Decoded(tuple(pcw[0].tolist()), tuple(msg[0].tolist()))
+    return FAIL

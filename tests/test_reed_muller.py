@@ -18,6 +18,7 @@ from dccodes.code_core import (
     iter_codewords,
     nearest_codeword,
 )
+from dccodes.cyc_dc import build_rm_dual_dc, cyc_dc_decode, cyc_dc_encode
 from dccodes.cyclic import generator_from_spanning_set
 from dccodes.reed_muller import (
     build_punctured_rm,
@@ -349,20 +350,37 @@ def test_shortened_dual_rm_decode():
     assert shortened_dual_rm_decode(pcode, bad, Fraction(7, 2)) is FAIL
 
 
-def test_punctured_rm_decode_decodes_both_lifts_in_one_call(monkeypatch):
-    batches = []
-
-    def counted(code, words):
-        batches.append(np.shape(words))
-        return reed_majority(code, words)
-
-    monkeypatch.setattr(reed_muller, "reed_majority", counted)
+def test_punctured_rm_decode_decodes_the_lift_with_one_only_if_needed(monkeypatch):
+    calls = []
+    real = reed_muller._majority
+    monkeypatch.setattr(
+        reed_muller, "_majority", lambda code, v: calls.append(v) or real(code, v)
+    )
     pcode = build_punctured_rm(2, 5)
-    cw = pcode.puncture(rm_encode(pcode.full, [1] * pcode.full.k))
-    assert punctured_rm_decode(pcode, cw, Fraction(7, 2)).codeword == cw
-    assert batches == [(2, 32)]
+    full = rm_encode(pcode.full, [1] * pcode.full.k)
+    cw = pcode.puncture(full)
+    # 1 at the zero point: the lift with 0 is one error off, at punctured
+    # distance 0, and accepted
+    assert full[0] == 1
+    for radius in (Fraction(7, 2), Fraction(1, 2)):
+        calls.clear()
+        assert punctured_rm_decode(pcode, cw, radius).codeword == cw
+        assert len(calls) == 1
     assert shortened_dual_rm_decode(pcode, cw, Fraction(7, 2)) is FAIL
-    assert batches == [(2, 32), (1, 32)]
+    assert len(calls) == 2
+    # three more errors put the lift with 0 four off, at the Reed radius
+    w = list(cw)
+    for pos in (0, 9, 20):
+        w[pos] ^= 1
+    calls.clear()
+    assert punctured_rm_decode(pcode, w, Fraction(7, 2)).codeword == cw
+    assert len(calls) == 2
+    # an rm-dc decode runs one lift per stage
+    code = build_rm_dual_dc(5)
+    msg = tuple(random.Random(353).randrange(2) for _ in range(code.k))
+    calls.clear()
+    assert cyc_dc_decode(code, cyc_dc_encode(code, msg)).message == msg
+    assert len(calls) == 2
 
 
 # sha256 of both stage decoders' outcomes on seeded words, taken before the

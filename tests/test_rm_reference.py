@@ -6,7 +6,13 @@ same codewords, messages and accept mask on every word and every batch:
 for every RM(r, m) with m <= 10, and on sampled words at m = 11 and 12.
 Words are codewords with up to two errors past the radius, or uniformly
 random words. The runs are derandomized with a fixed example budget.
+
+The stage decoders of the punctured codes are compared with rmref's, which
+decode both lifts of every word, on seeded words.
 """
+
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +20,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rmref
-from dccodes.reed_muller import reed_majority, rm_code, rm_encode
+from dccodes import reed_muller
+from dccodes.code_core import FAIL
+from dccodes.reed_muller import (
+    build_punctured_rm,
+    punctured_rm_decode,
+    reed_majority,
+    rm_code,
+    rm_encode,
+    shortened_dual_rm_decode,
+)
 
 FIXED = settings(max_examples=12, derandomize=True, database=None, deadline=None)
 SAMPLED = settings(max_examples=3, derandomize=True, database=None, deadline=None)
@@ -73,3 +88,55 @@ SAMPLED_RM = [(r, m) for m in (11, 12) for r in (1, m // 2 - 1, m // 2)]
 def test_reed_majority_matches_reference_sampled(r, m, data):
     code = rm_code(r, m)
     _assert_same(code, data.draw(words(code)))
+
+
+PUNCTURED_RM = [(r, m) for m in range(2, 9) for r in range(1, m)] + [(5, 10)]
+
+
+@pytest.mark.parametrize("r,m", PUNCTURED_RM)
+def test_stage_decoders_match_both_lifts_reference(r, m):
+    # radius d/2 as rm-dc passes it, one step above it, and the whole
+    # length; error weights run two past the radius or the Reed radius
+    pcode = build_punctured_rm(r, m)
+    d = (1 << (m - r)) - 1
+    rng = random.Random(f"lifts{r}{m}")
+    decoders = [
+        (punctured_rm_decode, rmref.punctured_rm_decode),
+        (shortened_dual_rm_decode, rmref.shortened_dual_rm_decode),
+    ]
+    for radius in (Fraction(d, 2), Fraction(d + 1, 2), pcode.n):
+        for errors in range(min(int(radius), (d + 1) // 2) + 3):
+            for _ in range(2):
+                msg = [rng.randrange(2) for _ in range(pcode.full.k)]
+                w = list(pcode.puncture(rm_encode(pcode.full, msg)))
+                for pos in rng.sample(range(pcode.n), errors):
+                    w[pos] ^= 1
+                for decode, reference in decoders:
+                    assert decode(pcode, w, radius) == reference(pcode, w, radius)
+
+
+@pytest.mark.parametrize("r,m", [(1, 3), (2, 5), (3, 8), (5, 10)])
+def test_lift_with_one_decodes_when_lift_with_zero_fails(r, m, monkeypatch):
+    # a codeword that is 1 at the zero point, with 2^(m-r-1) - 1 errors off
+    # it: the lift with 0 carries 2^(m-r-1) errors, too many for the Reed
+    # radius, and the lift with 1 carries one fewer
+    pcode = build_punctured_rm(r, m)
+    rng = random.Random(f"fallback{r}{m}")
+    msg = [1] + [rng.randrange(2) for _ in range(pcode.full.k - 1)]
+    full = rm_encode(pcode.full, msg)
+    assert full[0] == 1
+    cw = pcode.puncture(full)
+    w = list(cw)
+    for pos in rng.sample(range(pcode.n), (1 << (m - r - 1)) - 1):
+        w[pos] ^= 1
+    calls = []
+    real = reed_muller._majority
+    monkeypatch.setattr(
+        reed_muller, "_majority", lambda code, v: calls.append(v) or real(code, v)
+    )
+    radius = Fraction((1 << (m - r)) - 1, 2)
+    out = punctured_rm_decode(pcode, w, radius)
+    assert out.codeword == cw and out.message == tuple(msg)
+    assert len(calls) == 2 and calls[1] == calls[0] | 1
+    assert out == rmref.punctured_rm_decode(pcode, w, radius)
+    assert shortened_dual_rm_decode(pcode, w, radius) is FAIL
